@@ -13,17 +13,18 @@ mod repair;
 
 use crate::config::AnubisConfig;
 use crate::cost::{CostAccum, OpCost};
-use crate::error::{freshness_hint, IntegrityWitness, MemError, RecoveryError};
+use crate::datapath::{publish_cache, sealed_of, DataPath};
+use crate::error::{IntegrityWitness, MemError, RecoveryError};
 use crate::layout::{BonsaiLayout, DataAddr, LINES_PER_COUNTER_BLOCK};
 use crate::recovery::RecoveryReport;
 use crate::shadow::ShadowAddrEntry;
 use crate::MemoryController;
-use anubis_cache::{Eviction, MetadataCache};
+use anubis_cache::MetadataCache;
 use anubis_crypto::otp::IvCounter;
-use anubis_crypto::{DataCodec, MacCache, SealedBlock, SplitCounterBlock, MINOR_MAX};
+use anubis_crypto::{SplitCounterBlock, MINOR_MAX};
 use anubis_itree::bonsai::{BonsaiHasher, Root};
 use anubis_itree::NodeId;
-use anubis_nvm::{Block, BlockAddr, MemBackend, NvmBackend, PersistenceDomain, WriteOp};
+use anubis_nvm::{Block, BlockAddr, MemBackend, NvmBackend, PersistenceDomain};
 use anubis_telemetry::Telemetry;
 
 /// Backend register slot mirroring the on-chip Merkle-root register.
@@ -171,8 +172,7 @@ pub struct BonsaiController<B: NvmBackend = MemBackend> {
     scheme: BonsaiScheme,
     config: AnubisConfig,
     layout: BonsaiLayout,
-    domain: PersistenceDomain<B>,
-    codec: DataCodec,
+    dp: DataPath<B>,
     hasher: BonsaiHasher,
     counter_cache: MetadataCache<CtrEntry>,
     tree_cache: MetadataCache<Block>,
@@ -187,29 +187,8 @@ pub struct BonsaiController<B: NvmBackend = MemBackend> {
     edge: Vec<Block>,
     /// On-chip persistent register: interrupted page re-encryption.
     reenc_log: Option<ReencLog>,
-    /// Words repaired by the SEC-DED decoder on the data read path.
-    ecc_corrections: u64,
     /// Osiris probes that hit the stop-loss / minor-overflow boundary.
     stop_loss_events: u64,
-    /// Snapshot images the restore path rejected (parse failure or
-    /// epoch behind the sealed anchor).
-    snapshot_rejected: u64,
-    cost: OpCost,
-    totals: CostAccum,
-    pending: Vec<WriteOp>,
-    /// Volatile cache of MAC-verified line fingerprints: reads of
-    /// unmodified lines skip the MAC recomputation (cleared on crash).
-    mac_cache: MacCache,
-    /// Data seals deferred to commit time, where the whole group is
-    /// sealed through the batch crypto path: `(addr, iv, plaintext)`.
-    seal_jobs: Vec<(BlockAddr, IvCounter, Block)>,
-    /// Indices into `pending` of the placeholder (ciphertext, side) ops
-    /// each seal job fills in, parallel to `seal_jobs`.
-    seal_slots: Vec<(usize, usize)>,
-    /// Reused output buffer for the batch seal (allocation-free steady
-    /// state).
-    seal_out: Vec<SealedBlock>,
-    telemetry: Telemetry,
 }
 
 impl BonsaiController {
@@ -219,19 +198,13 @@ impl BonsaiController {
     /// represented lazily: unwritten NVM reads as zeros, and the on-chip
     /// root is initialized to the digest of that all-zero tree.
     pub fn new(scheme: BonsaiScheme, config: &AnubisConfig) -> Self {
-        Self::assemble(scheme, config, |layout| {
-            PersistenceDomain::new(layout.device_bytes())
-        })
+        Self::assemble(scheme, config, MemBackend::new())
     }
 }
 
 impl<B: NvmBackend> BonsaiController<B> {
-    /// Shared construction over any persistence domain.
-    fn assemble(
-        scheme: BonsaiScheme,
-        config: &AnubisConfig,
-        make_domain: impl FnOnce(&BonsaiLayout) -> PersistenceDomain<B>,
-    ) -> Self {
+    /// Shared construction over any storage backend.
+    fn assemble(scheme: BonsaiScheme, config: &AnubisConfig, backend: B) -> Self {
         let counter_cache: MetadataCache<CtrEntry> =
             MetadataCache::new(config.counter_cache_bytes, config.counter_cache_ways);
         let tree_cache: MetadataCache<Block> =
@@ -241,16 +214,15 @@ impl<B: NvmBackend> BonsaiController<B> {
             counter_cache.num_slots() as u64,
             tree_cache.num_slots() as u64,
         );
-        let domain = make_domain(&layout);
+        let dp = DataPath::new(backend, &layout, config.key);
         let hasher = BonsaiHasher::new(config.key);
         let (canon, edge) = Self::zero_state_contents(&hasher, &layout);
         let root = Root(hasher.digest(&edge[layout.geometry().top_level()]));
-        let mut controller = BonsaiController {
+        BonsaiController {
             scheme,
             config: config.clone(),
             layout,
-            domain,
-            codec: DataCodec::new(config.key),
+            dp,
             hasher,
             counter_cache,
             tree_cache,
@@ -258,23 +230,8 @@ impl<B: NvmBackend> BonsaiController<B> {
             canon,
             edge,
             reenc_log: None,
-            ecc_corrections: 0,
             stop_loss_events: 0,
-            snapshot_rejected: 0,
-            cost: OpCost::zero(),
-            totals: CostAccum::default(),
-            pending: Vec::new(),
-            mac_cache: MacCache::default(),
-            seal_jobs: Vec::new(),
-            seal_slots: Vec::new(),
-            seal_out: Vec::new(),
-            telemetry: Telemetry::global(),
-        };
-        let regions = controller.layout.regions();
-        controller.domain.device_mut().register_regions(regions);
-        let spares = controller.layout.spare_pool();
-        controller.domain.device_mut().install_spare_pool(spares);
-        controller
+        }
     }
 
     /// Reopens a controller over an existing device image (e.g. a
@@ -286,33 +243,22 @@ impl<B: NvmBackend> BonsaiController<B> {
     /// reloaded from its persisted region. The caller must still run
     /// recovery ([`crate::Supervisor::recover`]) before serving reads:
     /// reopen restores *registers*, recovery restores *verified state*.
-    ///
-    /// A corrupt persisted quarantine table does not fail the reopen; the
-    /// controller proceeds with an empty table and the second element
-    /// carries [`RecoveryError::CorruptImage`] for the supervisor to feed
-    /// into targeted repair ([`crate::Supervisor::repair_then_recover`]).
-    ///
-    /// A backend opened against a sealed freshness anchor (see
-    /// `anubis_nvm::FileBackend::open_with_anchor`) may instead report a
-    /// freshness violation: the hint is then
-    /// [`RecoveryError::RollbackDetected`] or
-    /// [`RecoveryError::FreshnessAnchorViolation`], which the supervisor
-    /// refuses outright rather than repairing — stale-but-consistent
-    /// state must never be served.
+    /// The second element is the supervisor's restart hint: a freshness
+    /// refusal, or [`RecoveryError::CorruptImage`] when the persisted
+    /// quarantine table does not parse (the reopen then proceeds with an
+    /// empty table).
     pub fn reopen(
         scheme: BonsaiScheme,
         config: &AnubisConfig,
         backend: B,
     ) -> (Self, Option<RecoveryError>) {
-        let mut c = Self::assemble(scheme, config, move |layout| {
-            PersistenceDomain::with_backend(layout.device_bytes(), backend)
-        });
-        if let Some(b) = c.domain.reg(REG_ROOT) {
+        let mut c = Self::assemble(scheme, config, backend);
+        if let Some(b) = c.dp.domain.reg(REG_ROOT) {
             c.root = Root(b.word(0));
         }
-        if let Some(meta) = c.domain.reg(REG_REENC) {
+        if let Some(meta) = c.dp.domain.reg(REG_REENC) {
             if meta.word(0) == 1 {
-                let old = c.domain.reg(REG_REENC_OLD).unwrap_or_else(Block::zeroed);
+                let old = c.dp.domain.reg(REG_REENC_OLD).unwrap_or_else(Block::zeroed);
                 c.reenc_log = Some(ReencLog {
                     leaf: meta.word(1),
                     old: SplitCounterBlock::from_block(&old),
@@ -320,57 +266,8 @@ impl<B: NvmBackend> BonsaiController<B> {
                 });
             }
         }
-        let hint = freshness_hint(c.domain.freshness()).or_else(|| c.reload_quarantine_table());
+        let hint = c.dp.reopen_hint();
         (c, hint)
-    }
-
-    /// Records a snapshot image rejected by the restore path (parse
-    /// failure or an epoch behind the sealed anchor) for the
-    /// `snapshot_rejected_total` counter.
-    pub fn note_snapshot_rejected(&mut self) {
-        self.snapshot_rejected += 1;
-    }
-
-    /// Restores a captured domain snapshot, refusing one whose epoch is
-    /// behind the device's current freshness epoch — a substituted stale
-    /// snapshot must never silently replace newer committed state. A
-    /// refusal is counted in `snapshot_rejected_total`.
-    ///
-    /// # Errors
-    ///
-    /// [`anubis_nvm::NvmError::Snapshot`] with
-    /// [`anubis_nvm::SnapshotError::StaleEpoch`] for a rolled-back
-    /// snapshot; other [`anubis_nvm::NvmError`]s from the apply itself.
-    pub fn restore_snapshot(
-        &mut self,
-        snap: &anubis_nvm::Snapshot,
-    ) -> Result<(), anubis_nvm::NvmError> {
-        match self.domain.apply_snapshot(snap) {
-            Err(e) => {
-                self.note_snapshot_rejected();
-                Err(e)
-            }
-            Ok(()) => Ok(()),
-        }
-    }
-
-    /// Reloads the persisted bad-block remap table from the qtable
-    /// region; returns the corrupt-image hint on parse failure.
-    fn reload_quarantine_table(&mut self) -> Option<RecoveryError> {
-        let blocks: Vec<Block> = (0..self.layout.qtable_blocks())
-            .map(|i| self.domain.device().peek(self.layout.qtable_addr(i)))
-            .collect();
-        match blocks.first() {
-            // Fresh image: no table was ever persisted.
-            None => None,
-            Some(header) if header.is_zeroed() => None,
-            Some(_) => match self.domain.device_mut().load_quarantine_table(&blocks) {
-                Ok(()) => None,
-                Err(_) => Some(RecoveryError::CorruptImage {
-                    what: "quarantine table",
-                }),
-            },
-        }
     }
 
     /// Computes the canonical zero-state node contents per level.
@@ -408,37 +305,17 @@ impl<B: NvmBackend> BonsaiController<B> {
         (canon, edge)
     }
 
-    /// The content a never-written node logically holds.
-    fn canonical_node(&self, node: NodeId) -> Block {
-        let g = self.layout.geometry();
-        if node.index == g.nodes_at(node.level) - 1 {
-            self.edge[node.level]
-        } else {
-            self.canon[node.level]
-        }
-    }
-
     /// Reads a tree node from NVM, substituting the canonical zero-state
     /// content for never-written (all-zero) interior nodes. A *real*
     /// interior node is all-zero only if all eight stored digests are
     /// zero — probability ≈ 2⁻⁵¹² — so the sentinel is safe.
     fn nvm_read_node(&mut self, node: NodeId) -> Result<Block, MemError> {
-        let raw = self.nvm_read(self.layout.node_addr(node))?;
+        let raw = self.dp.nvm_read(self.layout.node_addr(node))?;
         if node.level >= 1 && raw.is_zeroed() {
-            Ok(self.canonical_node(node))
+            Ok(recovery::Ctx::of(self).canonical_node(node))
         } else {
             Ok(raw)
         }
-    }
-
-    /// The scheme this controller runs.
-    pub fn scheme(&self) -> BonsaiScheme {
-        self.scheme
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &AnubisConfig {
-        &self.config
     }
 
     /// The memory layout (for experiments that tamper with NVM directly).
@@ -462,102 +339,15 @@ impl<B: NvmBackend> BonsaiController<B> {
         self.tree_cache.stats()
     }
 
-    /// Direct access to the persistence domain (tamper API, device stats).
-    pub fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.domain
-    }
-
-    /// Read-only access to the persistence domain.
-    pub fn domain(&self) -> &PersistenceDomain<B> {
-        &self.domain
+    /// The shared data path (snapshot restore, data-line machinery).
+    pub fn data_path_mut(&mut self) -> &mut DataPath<B> {
+        &mut self.dp
     }
 
     /// Total data words repaired by the SEC-DED decoder (correctable
     /// bit-flip faults absorbed on the read path).
     pub fn ecc_corrections(&self) -> u64 {
-        self.ecc_corrections
-    }
-
-    /// Osiris probes that hit the stop-loss / minor-overflow boundary
-    /// (each one surfaced as [`RecoveryError::StopLossExceeded`]).
-    pub fn stop_loss_events(&self) -> u64 {
-        self.stop_loss_events
-    }
-
-    /// The telemetry handle the controller records spans and counters
-    /// through (defaults to the process-global registry).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Publishes current device/cache/controller counters into the
-    /// telemetry registry. See [`MemoryController::publish_telemetry`].
-    pub fn publish_telemetry(&self) {
-        if !self.telemetry.enabled() {
-            return;
-        }
-        let t = &self.telemetry;
-        let scheme = self.scheme_name();
-        let dev = self.domain.device().stats().snapshot();
-        t.counter_set("nvm_reads_total", scheme, dev.reads);
-        t.counter_set("nvm_writes_total", scheme, dev.writes);
-        t.counter_set(
-            "nvm_max_writes_to_one_block",
-            scheme,
-            dev.max_writes_to_one_block,
-        );
-        for (region, n) in &dev.writes_by_region {
-            t.counter_set("nvm_region_writes_total", region, *n);
-        }
-        let shadow = dev
-            .writes_by_region
-            .iter()
-            .filter(|(r, _)| *r == "sct" || *r == "smt")
-            .map(|(_, n)| *n)
-            .sum::<u64>();
-        t.counter_set("shadow_table_writes_total", scheme, shadow);
-        t.counter_set("persist_writes_total", scheme, self.domain.persist_writes());
-        t.counter_set("ecc_corrections_total", scheme, self.ecc_corrections);
-        t.counter_set("stop_loss_events_total", scheme, self.stop_loss_events);
-        let ctr = self.counter_cache.stats();
-        t.counter_set("cache_hits_total", "counter", ctr.hits);
-        t.counter_set("cache_misses_total", "counter", ctr.misses);
-        if let Some(rate) = ctr.hit_rate() {
-            t.gauge_set("cache_hit_rate", "counter", rate);
-        }
-        let tree = self.tree_cache.stats();
-        t.counter_set("cache_hits_total", "tree", tree.hits);
-        t.counter_set("cache_misses_total", "tree", tree.misses);
-        if let Some(rate) = tree.hit_rate() {
-            t.gauge_set("cache_hit_rate", "tree", rate);
-        }
-        t.counter_set("cache_hits_total", "mac", self.mac_cache.hits());
-        t.counter_set("cache_misses_total", "mac", self.mac_cache.misses());
-        let quarantine = self.domain.device().quarantine_table();
-        t.gauge_set("quarantined_blocks", scheme, quarantine.len() as f64);
-        t.gauge_set(
-            "quarantine_spares_left",
-            scheme,
-            quarantine.spares_left() as f64,
-        );
-        t.counter_set(
-            "quarantine_lost_lines_total",
-            scheme,
-            quarantine.lost_lines(),
-        );
-        t.gauge_set("wpq_occupancy", scheme, self.domain.wpq_occupancy() as f64);
-        t.gauge_set("wpq_capacity", scheme, self.domain.wpq_capacity() as f64);
-        t.counter_set(
-            "wal_rejected_total",
-            scheme,
-            self.domain.device().backend().frames_rejected(),
-        );
-        t.counter_set("snapshot_rejected_total", scheme, self.snapshot_rejected);
-        let rolled_back = matches!(
-            self.domain.freshness(),
-            anubis_nvm::Freshness::RolledBack { .. }
-        );
-        t.counter_set("rollback_detected_total", scheme, rolled_back as u64);
+        self.dp.ecc_corrections
     }
 
     /// Runs crash recovery with an explicit lane count. `lanes == 1` is
@@ -573,116 +363,16 @@ impl<B: NvmBackend> BonsaiController<B> {
         recovery::recover(self, lanes)
     }
 
-    // ------------------------------------------------------------------
-    // Cost-counted primitives
-    // ------------------------------------------------------------------
-
-    fn nvm_read(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
-        self.cost.nvm_reads += 1;
-        self.read_through(addr)
-    }
-
-    /// Reads a block without charging the timing model (side blocks ride
-    /// the same DIMM transfer as their data block).
-    fn nvm_read_free(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
-        self.read_through(addr)
-    }
-
-    /// Store-to-load forwarding: the controller must observe writes it has
-    /// staged for the current commit group but not yet pushed to the WPQ
-    /// (e.g. a dirty tree node evicted and re-fetched within one op).
-    fn read_through(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
-        if let Some(op) = self.pending.iter().rev().find(|op| op.addr == addr) {
-            return Ok(op.block);
-        }
-        Ok(self.domain.read(addr)?)
-    }
-
-    fn stage(&mut self, addr: BlockAddr, block: Block) {
-        self.cost.nvm_writes += 1;
-        self.pending.push(WriteOp::new(addr, block));
-    }
-
-    /// Stages a write without charging the timing model (side blocks).
-    fn stage_free(&mut self, addr: BlockAddr, block: Block) {
-        self.pending.push(WriteOp::new(addr, block));
-    }
-
-    /// Stages a data-line seal for the current commit group without
-    /// computing it yet: placeholder ciphertext/side ops hold the group
-    /// positions, and [`resolve_seals`](Self::resolve_seals) fills them in
-    /// at commit time through the batch crypto path. This is how the write
-    /// path — scalar and batched alike — routes every seal of a commit
-    /// group through one `seal_batch_into` call.
-    fn stage_sealed(&mut self, dev: BlockAddr, side_addr: BlockAddr, iv: IvCounter, data: Block) {
-        self.cost.hash_ops += 2; // pad + MAC
-        let data_idx = self.pending.len();
-        self.stage(dev, Block::zeroed());
-        let side_idx = self.pending.len();
-        self.stage_free(side_addr, Block::zeroed());
-        self.seal_jobs.push((dev, iv, data));
-        self.seal_slots.push((data_idx, side_idx));
-    }
-
-    /// Seals every deferred data line of the current group in one batch
-    /// and patches the placeholder ops. Also primes the MAC cache: a
-    /// freshly sealed line is by construction MAC-verified.
-    fn resolve_seals(&mut self) {
-        if self.seal_jobs.is_empty() {
-            return;
-        }
-        self.codec
-            .seal_batch_into(&self.seal_jobs, &mut self.seal_out);
-        for (((dev, iv, _), (data_idx, side_idx)), sealed) in self
-            .seal_jobs
-            .iter()
-            .zip(&self.seal_slots)
-            .zip(&self.seal_out)
-        {
-            self.pending[*data_idx].block = sealed.ciphertext;
-            let mut side = Block::zeroed();
-            side.set_word(0, sealed.ecc);
-            side.set_word(1, sealed.mac);
-            self.pending[*side_idx].block = side;
-            self.codec
-                .note_sealed(&mut self.mac_cache, *dev, *iv, sealed);
-        }
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
-    }
-
+    /// Commits the staged group with backend mirrors of the on-chip
+    /// persistent registers, so a restart can restore them via
+    /// [`BonsaiController::reopen`].
     fn commit(&mut self) -> Result<(), MemError> {
-        self.resolve_seals();
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let ops = std::mem::take(&mut self.pending);
-        let regs = self.reg_mirrors();
-        self.domain.commit_group_with_regs(ops, &regs)?;
-        Ok(())
-    }
-
-    /// Backend mirrors of the on-chip persistent registers, committed
-    /// (and made durable) with every group so a restart can restore them
-    /// via [`BonsaiController::reopen`]. The mirrors ride the same
-    /// backend barrier as the group's writes: a crash before the ack
-    /// drops both together.
-    fn reg_mirrors(&self) -> [(u8, Block); 3] {
-        let mut root = Block::zeroed();
-        root.set_word(0, self.root.0);
-        let mut meta = Block::zeroed();
-        let mut old = Block::zeroed();
-        if let Some(log) = &self.reenc_log {
-            meta.set_word(0, 1);
-            meta.set_word(1, log.leaf);
-            meta.set_word(2, log.next_line as u64);
-            old = log.old.to_block();
-        }
-        [(REG_ROOT, root), (REG_REENC, meta), (REG_REENC_OLD, old)]
+        let (root, reenc_log) = (self.root, self.reenc_log.as_ref());
+        self.dp.commit(|| reg_mirrors(root, reenc_log))
     }
 
     fn digest(&mut self, content: &Block) -> u64 {
-        self.cost.hash_ops += 1;
+        self.dp.cost.hash_ops += 1;
         self.hasher.digest(content)
     }
 
@@ -695,28 +385,12 @@ impl<B: NvmBackend> BonsaiController<B> {
     fn insert_tree_node(&mut self, node: NodeId, content: Block) {
         let addr = self.layout.node_addr(node);
         let outcome = self.tree_cache.insert(addr, content);
-        if let Some(ev) = outcome.evicted {
-            self.writeback_tree_victim(ev);
+        if let Some(ev) = outcome.evicted.filter(|ev| ev.dirty) {
+            self.writeback_victim(ev.addr, ev.value);
         }
         if self.scheme.shadows_on_fill() {
             let slot = outcome.slot.linear(self.tree_cache.ways()) as u64;
-            let entry = ShadowAddrEntry::new(node).to_block();
-            let smt = self.layout.smt_slot(slot);
-            self.stage(smt, entry);
-        }
-    }
-
-    fn writeback_tree_victim(&mut self, ev: Eviction<Block>) {
-        if ev.dirty {
-            if self.scheme.is_lazy() {
-                let node = self
-                    .layout
-                    .node_of_addr(ev.addr)
-                    .expect("tree cache keys are node addresses");
-                self.lazy_propagate_digest(node, &ev.value)
-                    .expect("digest propagation only reads/writes the device");
-            }
-            self.stage(ev.addr, ev.value);
+            self.stage_shadow(self.layout.smt_slot(slot), node);
         }
     }
 
@@ -725,26 +399,32 @@ impl<B: NvmBackend> BonsaiController<B> {
     fn insert_counter(&mut self, leaf: NodeId, entry: CtrEntry) {
         let addr = self.layout.node_addr(leaf);
         let outcome = self.counter_cache.insert(addr, entry);
-        if let Some(ev) = outcome.evicted {
-            if ev.dirty {
-                let block = ev.value.ctr.to_block();
-                if self.scheme.is_lazy() {
-                    let node = self
-                        .layout
-                        .node_of_addr(ev.addr)
-                        .expect("counter cache keys are leaf addresses");
-                    self.lazy_propagate_digest(node, &block)
-                        .expect("digest propagation only reads/writes the device");
-                }
-                self.stage(ev.addr, block);
-            }
+        if let Some(ev) = outcome.evicted.filter(|ev| ev.dirty) {
+            self.writeback_victim(ev.addr, ev.value.ctr.to_block());
         }
         if self.scheme.shadows_on_fill() {
             let slot = outcome.slot.linear(self.counter_cache.ways()) as u64;
-            let block = ShadowAddrEntry::new(leaf).to_block();
-            let sct = self.layout.sct_slot(slot);
-            self.stage(sct, block);
+            self.stage_shadow(self.layout.sct_slot(slot), leaf);
         }
+    }
+
+    /// Writes back a dirty metadata block evicted from either cache.
+    fn writeback_victim(&mut self, addr: BlockAddr, block: Block) {
+        if self.scheme.is_lazy() {
+            let node = self
+                .layout
+                .node_of_addr(addr)
+                .expect("metadata caches key by node address");
+            self.lazy_propagate_digest(node, &block)
+                .expect("digest propagation only reads/writes the device");
+        }
+        self.dp.stage(addr, block);
+    }
+
+    /// Stages the shadow-table entry naming `node` at `table_slot`.
+    fn stage_shadow(&mut self, table_slot: BlockAddr, node: NodeId) {
+        self.dp
+            .stage(table_slot, ShadowAddrEntry::new(node).to_block());
     }
 
     /// AGIT-Plus hook: stage the shadow entry for a counter block the
@@ -767,9 +447,7 @@ impl<B: NvmBackend> BonsaiController<B> {
             .slot_of(addr)
             .expect("resident")
             .linear(self.counter_cache.ways()) as u64;
-        let block = ShadowAddrEntry::new(leaf).to_block();
-        let sct = self.layout.sct_slot(slot);
-        self.stage(sct, block);
+        self.stage_shadow(self.layout.sct_slot(slot), leaf);
     }
 
     fn track_tree_node_if_first_mod(&mut self, node: NodeId, first_mod: bool) {
@@ -780,9 +458,7 @@ impl<B: NvmBackend> BonsaiController<B> {
                 .slot_of(addr)
                 .expect("just-modified tree node is resident")
                 .linear(self.tree_cache.ways()) as u64;
-            let block = ShadowAddrEntry::new(node).to_block();
-            let smt = self.layout.smt_slot(slot);
-            self.stage(smt, block);
+            self.stage_shadow(self.layout.smt_slot(slot), node);
         }
     }
 
@@ -829,33 +505,31 @@ impl<B: NvmBackend> BonsaiController<B> {
         for n in chain.into_iter().rev() {
             let content = self.nvm_read_node(n)?;
             let d = self.digest(&content);
-            match g.parent(n) {
-                None => {
-                    if Root(d) != self.root {
-                        return Err(MemError::Integrity {
-                            node: n,
-                            against: IntegrityWitness::RootRegister,
-                        });
-                    }
-                }
-                Some(p) => {
-                    let p_addr = self.layout.node_addr(p);
-                    let stored = self
-                        .tree_cache
-                        .peek(p_addr)
-                        .expect("parent fetched before child")
-                        .word(g.child_slot(n));
-                    if stored != d {
-                        return Err(MemError::Integrity {
-                            node: n,
-                            against: IntegrityWitness::ParentDigest,
-                        });
-                    }
-                }
-            }
+            self.check_digest(n, d)?;
             self.insert_tree_node(n, content);
         }
         Ok(())
+    }
+
+    /// Checks digest `d` of `node` against the digest its resident parent
+    /// stores — or, for the top node, against the on-chip root register.
+    fn check_digest(&self, node: NodeId, d: u64) -> Result<(), MemError> {
+        let g = self.layout.geometry();
+        let (expected, against) = match g.parent(node) {
+            None => (self.root.0, IntegrityWitness::RootRegister),
+            Some(p) => (
+                self.tree_cache
+                    .peek(self.layout.node_addr(p))
+                    .expect("parent verified before child")
+                    .word(g.child_slot(node)),
+                IntegrityWitness::ParentDigest,
+            ),
+        };
+        if d == expected {
+            Ok(())
+        } else {
+            Err(MemError::Integrity { node, against })
+        }
     }
 
     /// Ensures the counter block `leaf` is resident and verified.
@@ -869,34 +543,13 @@ impl<B: NvmBackend> BonsaiController<B> {
             if self.counter_cache.contains(addr) {
                 return Ok(());
             }
-            let content = self.nvm_read(addr)?;
+            let content = self.dp.nvm_read(addr)?;
             let d = self.digest(&content);
-            let g = self.layout.geometry().clone();
-            match g.parent(leaf) {
-                None => {
-                    // Single-leaf tree: the leaf digest *is* the root.
-                    if Root(d) != self.root {
-                        return Err(MemError::Integrity {
-                            node: leaf,
-                            against: IntegrityWitness::RootRegister,
-                        });
-                    }
-                }
-                Some(p) => {
-                    self.ensure_tree_node(p)?;
-                    let stored = self
-                        .tree_cache
-                        .peek(self.layout.node_addr(p))
-                        .expect("ensured above")
-                        .word(g.child_slot(leaf));
-                    if stored != d {
-                        return Err(MemError::Integrity {
-                            node: leaf,
-                            against: IntegrityWitness::ParentDigest,
-                        });
-                    }
-                }
+            // A single-leaf tree has no parent: the leaf digest *is* the root.
+            if let Some(p) = self.layout.geometry().parent(leaf) {
+                self.ensure_tree_node(p)?;
             }
+            self.check_digest(leaf, d)?;
             let entry = CtrEntry {
                 ctr: SplitCounterBlock::from_block(&content),
                 since_persist: 0,
@@ -941,7 +594,7 @@ impl<B: NvmBackend> BonsaiController<B> {
             self.track_tree_node_if_first_mod(parent, first_mod);
             let updated = *self.tree_cache.peek(p_addr).expect("still resident");
             if self.scheme == BonsaiScheme::StrictPersist {
-                self.stage(p_addr, updated);
+                self.dp.stage(p_addr, updated);
                 self.tree_cache.mark_clean(p_addr);
             }
             child_digest = self.digest(&updated);
@@ -978,7 +631,7 @@ impl<B: NvmBackend> BonsaiController<B> {
         p_block.set_word(slot, d);
         // Writing the parent back is a writeback of the parent: cascade.
         self.lazy_propagate_digest(parent, &p_block)?;
-        self.stage(p_addr, p_block);
+        self.dp.stage(p_addr, p_block);
         Ok(())
     }
 
@@ -1008,7 +661,7 @@ impl<B: NvmBackend> BonsaiController<B> {
             let Some((addr, block)) = next else { break };
             let node = self.layout.node_of_addr(addr).expect("metadata address");
             self.lazy_propagate_digest(node, &block)?;
-            self.stage(addr, block);
+            self.dp.stage(addr, block);
             if node.level == 0 {
                 self.counter_cache.mark_clean(addr);
             } else {
@@ -1017,7 +670,7 @@ impl<B: NvmBackend> BonsaiController<B> {
             self.commit()?;
         }
         self.commit()?;
-        self.domain.drain_wpq();
+        self.dp.domain.drain_wpq();
         Ok(())
     }
 
@@ -1055,7 +708,7 @@ impl<B: NvmBackend> BonsaiController<B> {
         }
         self.counter_cache.mark_dirty(leaf_addr);
         self.track_counter_if_first_mod(leaf);
-        self.stage(leaf_addr, fresh.to_block());
+        self.dp.stage(leaf_addr, fresh.to_block());
         self.counter_cache.mark_clean(leaf_addr);
         self.update_path(leaf)?;
         self.commit()?;
@@ -1087,28 +740,23 @@ impl<B: NvmBackend> BonsaiController<B> {
             return Ok(()); // ragged last page
         };
         let dev = self.layout.data_addr(data_addr);
-        let side = self.layout.side_addr(data_addr);
-        let ciphertext = self.nvm_read(dev)?;
-        let side_block = self.nvm_read_free(side)?;
-        let sealed = anubis_crypto::SealedBlock {
-            ciphertext,
-            ecc: side_block.word(0),
-            mac: side_block.word(1),
-        };
+        let ciphertext = self.dp.nvm_read(dev)?;
+        let side = self.dp.nvm_read_free(self.layout.side_addr(data_addr))?;
+        let sealed = sealed_of(ciphertext, side);
         let new_ctr = IvCounter::split(new_major, 0);
         let plaintext = if old.major() == 0 && old.minor(line) == 0 {
             // Zero-state line: plaintext is zero by convention.
             Block::zeroed()
         } else {
             let old_ctr = IvCounter::split(old.major(), old.minor(line) as u64);
-            self.cost.hash_ops += 1;
-            match self.codec.probe(dev, old_ctr, &sealed) {
+            self.dp.cost.hash_ops += 1;
+            match self.dp.codec.probe(dev, old_ctr, &sealed) {
                 Some(pt) => pt,
                 None => {
                     // Already re-encrypted (recovery redoing the boundary
                     // line): verify it opens under the new counter.
-                    self.cost.hash_ops += 1;
-                    match self.codec.probe(dev, new_ctr, &sealed) {
+                    self.dp.cost.hash_ops += 1;
+                    match self.dp.codec.probe(dev, new_ctr, &sealed) {
                         Some(_) => return Ok(()),
                         None => {
                             return Err(MemError::Crypto(anubis_crypto::CryptoError::EccMismatch))
@@ -1117,31 +765,13 @@ impl<B: NvmBackend> BonsaiController<B> {
                 }
             }
         };
-        self.stage_sealed(dev, side, new_ctr, plaintext);
+        self.dp.stage_sealed(data_addr, new_ctr, plaintext);
         Ok(())
     }
 
     // ------------------------------------------------------------------
     // Data path
     // ------------------------------------------------------------------
-
-    fn validate(&self, addr: DataAddr) -> Result<(), MemError> {
-        if addr.index() < self.layout.data_blocks() {
-            Ok(())
-        } else {
-            Err(MemError::OutOfRange {
-                addr,
-                capacity_blocks: self.layout.data_blocks(),
-            })
-        }
-    }
-
-    fn begin_op(&mut self) {
-        self.cost = OpCost::zero();
-        self.pending.clear();
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
-    }
 
     /// Body of one logical write: counter maintenance, overflow-driven
     /// page re-encryption, the (deferred) data seal and the tree update.
@@ -1184,35 +814,26 @@ impl<B: NvmBackend> BonsaiController<B> {
             )
         };
         self.counter_cache.mark_dirty(leaf_addr);
-        if persist_now {
-            let block = self
-                .counter_cache
-                .peek(leaf_addr)
-                .expect("resident")
-                .ctr
-                .to_block();
-            self.stage(leaf_addr, block);
-            self.counter_cache.mark_clean(leaf_addr);
-        }
-        if matches!(
+        // Stop-loss persistence (Osiris, AGIT) and the write-through
+        // schemes write the counter block back right away.
+        let write_through = matches!(
             self.scheme,
             BonsaiScheme::StrictPersist | BonsaiScheme::CounterWriteThrough
-        ) {
+        );
+        if persist_now || write_through {
             let block = self
                 .counter_cache
                 .peek(leaf_addr)
                 .expect("resident")
                 .ctr
                 .to_block();
-            self.stage(leaf_addr, block);
+            self.dp.stage(leaf_addr, block);
             self.counter_cache.mark_clean(leaf_addr);
         }
 
         // Stage the data seal; the crypto itself is deferred to commit
         // time, where the whole group goes through the batch seal path.
-        let dev = self.layout.data_addr(addr);
-        let side_addr = self.layout.side_addr(addr);
-        self.stage_sealed(dev, side_addr, iv, data);
+        self.dp.stage_sealed(addr, iv, data);
 
         // Eager tree update up to the on-chip root (lazy defers digest
         // propagation to writeback time).
@@ -1223,6 +844,26 @@ impl<B: NvmBackend> BonsaiController<B> {
     }
 }
 
+/// The register mirrors of the Merkle-root register and the re-encryption
+/// log.
+fn reg_mirrors(root: Root, reenc_log: Option<&ReencLog>) -> [(u8, Block); 3] {
+    let mut root_block = Block::zeroed();
+    root_block.set_word(0, root.0);
+    let mut meta = Block::zeroed();
+    let mut old = Block::zeroed();
+    if let Some(log) = reenc_log {
+        meta.set_word(0, 1);
+        meta.set_word(1, log.leaf);
+        meta.set_word(2, log.next_line as u64);
+        old = log.old.to_block();
+    }
+    [
+        (REG_ROOT, root_block),
+        (REG_REENC, meta),
+        (REG_REENC_OLD, old),
+    ]
+}
+
 impl<B: NvmBackend> MemoryController for BonsaiController<B> {
     type Backend = B;
 
@@ -1231,99 +872,57 @@ impl<B: NvmBackend> MemoryController for BonsaiController<B> {
     }
 
     fn domain(&self) -> &PersistenceDomain<B> {
-        &self.domain
+        &self.dp.domain
     }
 
     fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.domain
+        &mut self.dp.domain
     }
 
     fn read(&mut self, addr: DataAddr) -> Result<Block, MemError> {
-        self.validate(addr)?;
-        self.begin_op();
+        self.dp.validate(addr)?;
+        self.dp.begin_op();
         let (leaf, line) = self.layout.counter_of(addr);
         self.ensure_counter(leaf)?;
         let leaf_addr = self.layout.node_addr(leaf);
         let ctr = self.counter_cache.peek(leaf_addr).expect("ensured").ctr;
-        let dev = self.layout.data_addr(addr);
-        let side_addr = self.layout.side_addr(addr);
-
-        let result = if ctr.major() == 0 && ctr.minor(line) == 0 {
-            // Never-written line: must still be in the zero state.
-            let stored = self.nvm_read(dev)?;
-            let side = self.nvm_read_free(side_addr)?;
-            if stored.is_zeroed() && side.is_zeroed() {
-                Ok(Block::zeroed())
-            } else {
-                Err(MemError::Crypto(
-                    anubis_crypto::CryptoError::DataMacMismatch,
-                ))
-            }
-        } else {
-            let ciphertext = self.nvm_read(dev)?;
-            let side = self.nvm_read_free(side_addr)?;
-            let sealed = anubis_crypto::SealedBlock {
-                ciphertext,
-                ecc: side.word(0),
-                mac: side.word(1),
-            };
-            self.cost.hash_ops += 2; // pad + MAC verify
-            let iv = IvCounter::split(ctr.major(), ctr.minor(line) as u64);
-            match self
-                .codec
-                .open_correcting_cached(&mut self.mac_cache, dev, iv, &sealed)
-            {
-                Ok((pt, fixed)) => {
-                    self.ecc_corrections += u64::from(fixed);
-                    Ok(pt)
-                }
-                Err(e) => Err(MemError::from(e)),
-            }
-        };
-        let value = result?;
+        let iv = IvCounter::split(ctr.major(), ctr.minor(line) as u64);
+        let zero_state = ctr.major() == 0 && ctr.minor(line) == 0;
+        let value = self.dp.open_line(addr, iv, zero_state)?;
         self.commit()?; // persist any shadow/eviction traffic from fills
-        self.totals.record(false, self.cost);
+        self.dp.totals.record(false, self.dp.cost);
         Ok(value)
     }
 
     fn write(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
-        self.validate(addr)?;
-        self.begin_op();
+        self.dp.validate(addr)?;
+        self.dp.begin_op();
         self.write_inner(addr, data)?;
         self.commit()?;
-        self.totals.record(true, self.cost);
+        self.dp.totals.record(true, self.dp.cost);
         Ok(())
     }
 
     fn write_batch(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
         for (addr, _) in items {
-            self.validate(*addr)?;
+            self.dp.validate(*addr)?;
         }
-        self.begin_op();
+        self.dp.begin_op();
         for (addr, data) in items {
-            self.cost = OpCost::zero();
+            self.dp.cost = OpCost::zero();
             self.write_inner(*addr, *data)?;
-            // Keep the accumulated group comfortably inside the persist
-            // queue: one write stages at most a handful of ops (data +
-            // side + counters + eager tree path), so flushing at this
-            // watermark never overruns `PREG_CAPACITY`.
-            if self.pending.len() >= crate::GROUP_FLUSH_WATERMARK {
+            if self.dp.group_full() {
                 self.commit()?;
             }
-            self.totals.record(true, self.cost);
+            self.dp.totals.record(true, self.dp.cost);
         }
         self.commit()
     }
 
     fn crash(&mut self) {
-        self.domain.power_fail();
+        self.dp.power_fail();
         self.counter_cache.invalidate_all();
         self.tree_cache.invalidate_all();
-        self.pending.clear();
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
-        // MAC-verification cache is volatile state: it dies with power.
-        self.mac_cache.clear();
         // `root` and `reenc_log` are on-chip persistent registers: kept.
     }
 
@@ -1332,7 +931,7 @@ impl<B: NvmBackend> MemoryController for BonsaiController<B> {
     }
 
     fn shutdown_flush(&mut self) -> Result<(), MemError> {
-        self.begin_op();
+        self.dp.begin_op();
         if self.scheme.is_lazy() {
             return self.lazy_flush();
         }
@@ -1344,7 +943,7 @@ impl<B: NvmBackend> MemoryController for BonsaiController<B> {
             .map(|(_, addr, entry, _)| (addr, entry.ctr))
             .collect();
         for (addr, ctr) in dirty_ctrs {
-            self.stage(addr, ctr.to_block());
+            self.dp.stage(addr, ctr.to_block());
             self.counter_cache.mark_clean(addr);
         }
         // Drain dirty tree nodes.
@@ -1355,35 +954,40 @@ impl<B: NvmBackend> MemoryController for BonsaiController<B> {
             .map(|(_, addr, block, _)| (addr, *block))
             .collect();
         for (addr, block) in dirty_nodes {
-            self.stage(addr, block);
+            self.dp.stage(addr, block);
             self.tree_cache.mark_clean(addr);
         }
         self.commit()?;
-        self.domain.drain_wpq();
+        self.dp.domain.drain_wpq();
         Ok(())
     }
 
     fn last_cost(&self) -> OpCost {
-        self.cost
+        self.dp.cost
     }
 
     fn total_cost(&self) -> &CostAccum {
-        &self.totals
+        &self.dp.totals
     }
 
     fn reset_costs(&mut self) {
-        self.totals.reset();
+        self.dp.reset_costs();
         self.counter_cache.reset_stats();
         self.tree_cache.reset_stats();
-        self.domain.device_mut().reset_stats();
     }
 
     fn set_telemetry(&mut self, t: Telemetry) {
-        self.telemetry = t;
+        self.dp.telemetry = t;
     }
 
     fn publish_telemetry(&self) {
-        Self::publish_telemetry(self);
+        let scheme = self.scheme.name();
+        let Some(t) = self.dp.publish_telemetry(scheme, &["sct", "smt"]) else {
+            return;
+        };
+        t.counter_set("stop_loss_events_total", scheme, self.stop_loss_events);
+        publish_cache(t, "counter", self.counter_cache.stats());
+        publish_cache(t, "tree", self.tree_cache.stats());
     }
 }
 

@@ -24,6 +24,7 @@
 
 use super::{BonsaiController, BonsaiScheme, ReencLog};
 use crate::config::AnubisConfig;
+use crate::datapath::sealed_of;
 use crate::error::RecoveryError;
 use crate::layout::{BonsaiLayout, LINES_PER_COUNTER_BLOCK};
 use crate::parallel;
@@ -31,31 +32,11 @@ use crate::recovery::RecoveryReport;
 use crate::shadow::ShadowAddrEntry;
 use crate::MemoryController;
 use anubis_crypto::otp::IvCounter;
-use anubis_crypto::{DataCodec, SealedBlock, SplitCounterBlock};
+use anubis_crypto::{DataCodec, SealedBlock, SplitCounterBlock, MINOR_MAX};
 use anubis_itree::bonsai::{BonsaiHasher, Root};
 use anubis_itree::NodeId;
 use anubis_nvm::{Block, BlockAddr, NvmBackend, NvmDevice};
 use std::collections::BTreeSet;
-
-/// Tallies recovery work separately from the run-time cost model.
-#[derive(Default)]
-pub(super) struct Tally {
-    pub(super) reads: u64,
-    pub(super) writes: u64,
-    pub(super) hashes: u64,
-    pub(super) counters_fixed: u64,
-    pub(super) nodes_fixed: u64,
-}
-
-impl Tally {
-    fn merge(&mut self, other: &Tally) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.hashes += other.hashes;
-        self.counters_fixed += other.counters_fixed;
-        self.nodes_fixed += other.nodes_fixed;
-    }
-}
 
 /// Shared read-only view of the controller for recovery lanes. Lanes only
 /// *read* the device (access counting is atomic — see `NvmStats`); all
@@ -74,9 +55,9 @@ pub(super) struct Ctx<'a, B: NvmBackend> {
 impl<'a, B: NvmBackend> Ctx<'a, B> {
     pub(super) fn of(c: &'a BonsaiController<B>) -> Self {
         Ctx {
-            dev: c.domain.device(),
+            dev: c.dp.domain.device(),
             layout: &c.layout,
-            codec: &c.codec,
+            codec: &c.dp.codec,
             hasher: &c.hasher,
             config: &c.config,
             canon: &c.canon,
@@ -84,21 +65,49 @@ impl<'a, B: NvmBackend> Ctx<'a, B> {
         }
     }
 
-    pub(super) fn read(&self, addr: BlockAddr, t: &mut Tally) -> Block {
-        t.reads += 1;
+    pub(super) fn read(&self, addr: BlockAddr, t: &mut RecoveryReport) -> Block {
+        t.nvm_reads += 1;
         self.dev.read(addr)
     }
 
     /// Reads a tree node, substituting the canonical zero-state content
     /// for never-written interior nodes (see
     /// `BonsaiController::nvm_read_node`).
-    pub(super) fn read_node(&self, node: NodeId, t: &mut Tally) -> Block {
+    pub(super) fn read_node(&self, node: NodeId, t: &mut RecoveryReport) -> Block {
         let raw = self.read(self.layout.node_addr(node), t);
         if node.level >= 1 && raw.is_zeroed() {
             self.canonical_node(node)
         } else {
             raw
         }
+    }
+
+    /// Osiris probe of one data line: the smallest gap past the stale
+    /// minor, within the stop-loss window, under which `sealed` opens.
+    pub(super) fn probe_line(
+        &self,
+        dev: BlockAddr,
+        stale: &SplitCounterBlock,
+        line: usize,
+        sealed: &SealedBlock,
+        t: &mut RecoveryReport,
+    ) -> Option<u8> {
+        let base = stale.minor(line) as u64;
+        for gap in 0..=self.config.stop_loss as u64 {
+            let minor = base + gap;
+            if minor > MINOR_MAX as u64 {
+                break; // overflow would have persisted the block
+            }
+            if stale.major() == 0 && minor == 0 {
+                continue; // the zero state is the caller's candidate 0
+            }
+            t.hash_ops += 1;
+            let iv = IvCounter::split(stale.major(), minor);
+            if self.codec.probe(dev, iv, sealed).is_some() {
+                return Some(gap as u8);
+            }
+        }
+        None
     }
 
     pub(super) fn canonical_node(&self, node: NodeId) -> Block {
@@ -115,17 +124,19 @@ impl<'a, B: NvmBackend> Ctx<'a, B> {
 /// back (if anything moved) plus the work tally.
 pub(super) struct LeafFix {
     pub(super) write: Option<Block>,
-    pub(super) tally: Tally,
+    pub(super) tally: RecoveryReport,
 }
 
 pub(super) fn recover<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     lanes: usize,
 ) -> Result<RecoveryReport, RecoveryError> {
-    let tel = c.telemetry.clone();
+    let tel = c.dp.telemetry.clone();
     let _recovery_span = tel.span("recovery", c.scheme_name());
-    let redo_writes = c.domain.power_up() as u64;
-    let mut t = Tally::default();
+    let mut t = RecoveryReport {
+        redo_writes: c.dp.domain.power_up() as u64,
+        ..RecoveryReport::default()
+    };
 
     // Complete any interrupted page re-encryption first; it also tells
     // AGIT recovery which extra path must be repaired.
@@ -161,30 +172,18 @@ pub(super) fn recover<B: NvmBackend>(
     }
 
     tel.incr("recovery_runs_total", c.scheme_name(), 1);
-    Ok(RecoveryReport {
-        nvm_reads: t.reads,
-        nvm_writes: t.writes,
-        hash_ops: t.hashes,
-        counters_fixed: t.counters_fixed,
-        nodes_fixed: t.nodes_fixed,
-        redo_writes,
-        reencryption_completed: reenc_leaf.is_some(),
-    })
-}
-
-fn dev_read<B: NvmBackend>(c: &mut BonsaiController<B>, addr: BlockAddr, t: &mut Tally) -> Block {
-    t.reads += 1;
-    c.domain.device_mut().read(addr)
+    t.reencryption_completed = reenc_leaf.is_some();
+    Ok(t)
 }
 
 pub(super) fn dev_write<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     addr: BlockAddr,
     block: Block,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
 ) {
-    t.writes += 1;
-    c.domain.device_mut().write(addr, block);
+    t.nvm_writes += 1;
+    c.dp.domain.device_mut().write(addr, block);
 }
 
 /// Completes an interrupted page re-encryption from the on-chip log
@@ -193,7 +192,7 @@ pub(super) fn dev_write<B: NvmBackend>(
 /// one page (64 lines) of sequential REDO work.
 pub(super) fn complete_reencryption<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
 ) -> Result<Option<NodeId>, RecoveryError> {
     let Some(ReencLog {
         leaf,
@@ -217,38 +216,29 @@ pub(super) fn complete_reencryption<B: NvmBackend>(
             break;
         };
         let dev = c.layout.data_addr(data_addr);
-        let side_addr = c.layout.side_addr(data_addr);
-        let ciphertext = dev_read(c, dev, t);
-        let side = c.domain.device_mut().read(side_addr);
-        let sealed = SealedBlock {
-            ciphertext,
-            ecc: side.word(0),
-            mac: side.word(1),
-        };
+        let (ciphertext, side) = c.dp.device_line(data_addr);
+        t.nvm_reads += 1;
+        let sealed = sealed_of(ciphertext, side);
         let new_iv = IvCounter::split(new_major, 0);
         let plaintext = if old.major() == 0 && old.minor(line) == 0 {
             Block::zeroed()
         } else {
-            t.hashes += 1;
+            t.hash_ops += 1;
             let old_iv = IvCounter::split(old.major(), old.minor(line) as u64);
-            match c.codec.probe(dev, old_iv, &sealed) {
+            match c.dp.codec.probe(dev, old_iv, &sealed) {
                 Some(pt) => pt,
                 None => {
-                    t.hashes += 1;
-                    if c.codec.probe(dev, new_iv, &sealed).is_some() {
+                    t.hash_ops += 1;
+                    if c.dp.codec.probe(dev, new_iv, &sealed).is_some() {
                         continue; // already re-encrypted before the crash
                     }
                     return Err(RecoveryError::CounterNotRecovered { addr: dev });
                 }
             }
         };
-        t.hashes += 2;
-        let resealed = c.codec.seal(dev, new_iv, &plaintext);
-        dev_write(c, dev, resealed.ciphertext, t);
-        let mut side_new = Block::zeroed();
-        side_new.set_word(0, resealed.ecc);
-        side_new.set_word(1, resealed.mac);
-        c.domain.device_mut().write(side_addr, side_new);
+        t.hash_ops += 2;
+        t.nvm_writes += 1;
+        c.dp.reseal_line(data_addr, new_iv, &plaintext);
     }
     c.reenc_log = None;
     Ok(Some(leaf_node))
@@ -261,7 +251,7 @@ pub(super) fn probe_counter_block<B: NvmBackend>(
     ctx: &Ctx<'_, B>,
     leaf: NodeId,
 ) -> Result<LeafFix, RecoveryError> {
-    let mut t = Tally::default();
+    let mut t = RecoveryReport::default();
     let leaf_addr = ctx.layout.node_addr(leaf);
     let stale = SplitCounterBlock::from_block(&ctx.read(leaf_addr, &mut t));
     let mut fixed = stale;
@@ -274,33 +264,15 @@ pub(super) fn probe_counter_block<B: NvmBackend>(
         let side_addr = ctx.layout.side_addr(data_addr);
         let ciphertext = ctx.read(dev, &mut t);
         let side = ctx.dev.read(side_addr);
-        let sealed = SealedBlock {
-            ciphertext,
-            ecc: side.word(0),
-            mac: side.word(1),
-        };
-        let base_minor = stale.minor(line) as u64;
         // Candidate 0: the zero state (never-written line).
-        if stale.major() == 0 && base_minor == 0 && ciphertext.is_zeroed() && side.is_zeroed() {
+        if stale.major() == 0
+            && stale.minor(line) == 0
+            && ciphertext.is_zeroed()
+            && side.is_zeroed()
+        {
             continue;
         }
-        let mut recovered = None;
-        for gap in 0..=ctx.config.stop_loss as u64 {
-            let minor = base_minor + gap;
-            if minor > anubis_crypto::MINOR_MAX as u64 {
-                break; // overflow would have persisted the block
-            }
-            if stale.major() == 0 && minor == 0 {
-                continue; // zero state handled above
-            }
-            t.hashes += 1;
-            let iv = IvCounter::split(stale.major(), minor);
-            if ctx.codec.probe(dev, iv, &sealed).is_some() {
-                recovered = Some(gap as u8);
-                break;
-            }
-        }
-        match recovered {
+        match ctx.probe_line(dev, &stale, line, &sealed_of(ciphertext, side), &mut t) {
             Some(gap) => {
                 if gap > 0 {
                     // The probe loop never exceeds MINOR_MAX for a
@@ -331,14 +303,14 @@ pub(super) fn probe_counter_block<B: NvmBackend>(
 pub(super) fn compute_interior_node<B: NvmBackend>(
     ctx: &Ctx<'_, B>,
     node: NodeId,
-) -> (Block, Tally) {
-    let mut t = Tally::default();
+) -> (Block, RecoveryReport) {
+    let mut t = RecoveryReport::default();
     let g = ctx.layout.geometry();
     let children: Vec<NodeId> = g.children(node).collect();
     let mut digests = Vec::with_capacity(children.len());
     for child in children {
         let child_block = ctx.read_node(child, &mut t);
-        t.hashes += 1;
+        t.hash_ops += 1;
         digests.push(ctx.hasher.digest(&child_block));
     }
     let block = ctx.hasher.parent_block(&digests);
@@ -352,11 +324,11 @@ pub(super) fn compute_interior_node<B: NvmBackend>(
 /// progress) before the error is returned.
 fn fix_counter_blocks<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
     leaves: &[u64],
     lanes: usize,
 ) -> Result<(), RecoveryError> {
-    let tel = c.telemetry.clone();
+    let tel = c.dp.telemetry.clone();
     let _phase = tel
         .span("recovery_phase", "osiris_probe")
         .items(leaves.len() as u64);
@@ -392,12 +364,12 @@ fn fix_counter_blocks<B: NvmBackend>(
 /// where nodes verify independently against parent counters).
 fn fix_node_level<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
     level: usize,
     indices: &[u64],
     lanes: usize,
 ) {
-    let tel = c.telemetry.clone();
+    let tel = c.dp.telemetry.clone();
     let _phase = tel
         .span("recovery_phase", &format!("level_rebuild_{level}"))
         .items(indices.len() as u64);
@@ -417,19 +389,19 @@ fn fix_node_level<B: NvmBackend>(
 /// the on-chip register.
 fn check_root<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
 ) -> Result<(), RecoveryError> {
-    let tel = c.telemetry.clone();
+    let tel = c.dp.telemetry.clone();
     let _span = tel.span("recovery_phase", "root_check");
     let top = c.layout.geometry().top();
     let top_block = {
         let ctx = Ctx::of(c);
-        let mut local = Tally::default();
+        let mut local = RecoveryReport::default();
         let b = ctx.read_node(top, &mut local);
         t.merge(&local);
         b
     };
-    t.hashes += 1;
+    t.hash_ops += 1;
     let computed = Root(c.hasher.digest(&top_block));
     if computed == c.root {
         Ok(())
@@ -444,7 +416,7 @@ fn check_root<B: NvmBackend>(
 fn fix_path<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     leaf: NodeId,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
 ) -> Result<(), RecoveryError> {
     let g = c.layout.geometry().clone();
     for node in g.path_to_top(leaf) {
@@ -462,7 +434,7 @@ fn fix_path<B: NvmBackend>(
 /// rebuild every interior node bottom-up and compare the root.
 fn rebuild_whole_tree<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
     probe_counters: bool,
     lanes: usize,
 ) -> Result<(), RecoveryError> {
@@ -482,7 +454,7 @@ fn rebuild_whole_tree<B: NvmBackend>(
 /// level by level, then verify the root.
 fn recover_agit<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
     reenc_leaf: Option<NodeId>,
     lanes: usize,
 ) -> Result<(), RecoveryError> {
@@ -491,7 +463,7 @@ fn recover_agit<B: NvmBackend>(
     // Scan the SCT and SMT across lanes; slot reads are independent and
     // the per-slot parse is pure. Merging into ordered sets in slot order
     // yields the same sets as the serial scan.
-    let tel = c.telemetry.clone();
+    let tel = c.dp.telemetry.clone();
     let (sct_entries, smt_entries) = {
         let _span = tel.span("recovery_phase", "shadow_scan");
         let ctx = Ctx::of(c);
@@ -517,7 +489,7 @@ fn recover_agit<B: NvmBackend>(
         );
         (sct, smt)
     };
-    t.reads += c.layout.sct_slots() + c.layout.smt_slots();
+    t.nvm_reads += c.layout.sct_slots() + c.layout.smt_slots();
     let mut tracked_counters: BTreeSet<u64> = BTreeSet::new();
     for node in sct_entries.into_iter().flatten() {
         if node.level == 0 && node.index < g.num_leaves() {

@@ -4,6 +4,7 @@
 use crate::config::AnubisConfig;
 use anubis_itree::{NodeId, TreeGeometry};
 use anubis_nvm::{BlockAddr, Region, RegionAllocator, RemapTable};
+use core::ops::Deref;
 
 /// Index of a 64-byte line within the *data region* — the address space
 /// the CPU sees. Newtype so data addresses cannot be confused with device
@@ -41,62 +42,49 @@ pub const LINES_PER_COUNTER_BLOCK: u64 = 64;
 /// Data lines covered by one SGX leaf node.
 pub const LINES_PER_SGX_LEAF: u64 = 8;
 
-/// NVM layout for the Bonsai (general-tree) controller family.
-///
-/// Regions, in order: `data`, `side` (per-line ECC+MAC words, physically
-/// co-located with data on a real DIMM — see DESIGN.md), `counters`
-/// (split-counter blocks, the tree leaves), `tree` (interior nodes),
-/// `sct` (Shadow Counter Table), `smt` (Shadow Merkle-tree Table),
-/// `spare` (bad-block quarantine pool) and `qtable` (the persisted remap
-/// table).
+/// The regions both controller families lay out identically: the data
+/// lines and their side blocks (per-line ECC+MAC words, physically
+/// co-located with data on a real DIMM — see DESIGN.md) come first, the
+/// bad-block quarantine `spare` pool and the persisted remap table
+/// (`qtable`) last. A family's metadata regions sit in between, so every
+/// region keeps the address it has in existing device images.
 #[derive(Clone, Debug)]
-pub struct BonsaiLayout {
+pub struct LineRegions {
     data: Region,
     side: Region,
-    counters: Region,
-    tree: Region,
-    sct: Region,
-    smt: Region,
     spare: Region,
     qtable: Region,
-    geometry: TreeGeometry,
     total_blocks: u64,
     regions: RegionAllocator,
 }
 
-impl BonsaiLayout {
-    /// Computes the layout for a configuration. `sct_slots`/`smt_slots`
-    /// are the shadow-table lengths (= cache slot counts).
-    pub fn new(config: &AnubisConfig, sct_slots: u64, smt_slots: u64) -> Self {
-        let n_data = config.data_blocks().max(LINES_PER_COUNTER_BLOCK);
-        let n_ctr = n_data.div_ceil(LINES_PER_COUNTER_BLOCK);
-        let geometry = TreeGeometry::new(n_ctr, 8);
+impl LineRegions {
+    /// Allocates `n_data` data and side blocks, then the family's
+    /// metadata regions through `family`, then the spare pool and the
+    /// remap table.
+    fn alloc<T>(
+        config: &AnubisConfig,
+        n_data: u64,
+        family: impl FnOnce(&mut RegionAllocator) -> T,
+    ) -> (Self, T) {
         let mut alloc = RegionAllocator::new();
         let data = alloc.alloc("data", n_data);
         let side = alloc.alloc("side", n_data);
-        let counters = alloc.alloc("counters", n_ctr);
-        let tree = alloc.alloc("tree", geometry.interior_blocks().max(1));
-        let sct = alloc.alloc("sct", sct_slots);
-        let smt = alloc.alloc("smt", smt_slots);
+        let metadata = family(&mut alloc);
         let n_spare = config.spare_blocks.max(1);
         let spare = alloc.alloc("spare", n_spare);
         // Sized for the table's full capacity: remapped entries plus an
         // equal budget of in-place retirements (see RemapTable::capacity).
         let qtable = alloc.alloc("qtable", RemapTable::blocks_for(2 * n_spare));
-        let total_blocks = alloc.total_blocks();
-        BonsaiLayout {
+        let lines = LineRegions {
             data,
             side,
-            counters,
-            tree,
-            sct,
-            smt,
             spare,
             qtable,
-            geometry,
-            total_blocks,
+            total_blocks: alloc.total_blocks(),
             regions: alloc,
-        }
+        };
+        (lines, metadata)
     }
 
     /// Total device size needed, in bytes.
@@ -107,11 +95,6 @@ impl BonsaiLayout {
     /// The region map for device statistics attribution.
     pub fn regions(&self) -> RegionAllocator {
         self.regions.clone()
-    }
-
-    /// The integrity-tree shape (leaves = counter blocks).
-    pub fn geometry(&self) -> &TreeGeometry {
-        &self.geometry
     }
 
     /// Number of data lines.
@@ -133,6 +116,77 @@ impl BonsaiLayout {
         self.side.nth(addr.index())
     }
 
+    /// The quarantine spare pool: device addresses reserved for remapping
+    /// retired blocks.
+    pub fn spare_pool(&self) -> Vec<BlockAddr> {
+        (0..self.spare.len()).map(|i| self.spare.nth(i)).collect()
+    }
+
+    /// Device address of the `i`-th block of the persisted remap table.
+    pub fn qtable_addr(&self, i: u64) -> BlockAddr {
+        self.qtable.nth(i)
+    }
+
+    /// Capacity of the remap-table region, in blocks.
+    pub fn qtable_blocks(&self) -> u64 {
+        self.qtable.len()
+    }
+}
+
+/// NVM layout for the Bonsai (general-tree) controller family.
+///
+/// Regions, in order: the shared `data` and `side` [`LineRegions`],
+/// `counters` (split-counter blocks, the tree leaves), `tree` (interior
+/// nodes), `sct` (Shadow Counter Table), `smt` (Shadow Merkle-tree
+/// Table), then the shared `spare` and `qtable`.
+#[derive(Clone, Debug)]
+pub struct BonsaiLayout {
+    lines: LineRegions,
+    counters: Region,
+    tree: Region,
+    sct: Region,
+    smt: Region,
+    geometry: TreeGeometry,
+}
+
+impl Deref for BonsaiLayout {
+    type Target = LineRegions;
+
+    fn deref(&self) -> &LineRegions {
+        &self.lines
+    }
+}
+
+impl BonsaiLayout {
+    /// Computes the layout for a configuration. `sct_slots`/`smt_slots`
+    /// are the shadow-table lengths (= cache slot counts).
+    pub fn new(config: &AnubisConfig, sct_slots: u64, smt_slots: u64) -> Self {
+        let n_data = config.data_blocks().max(LINES_PER_COUNTER_BLOCK);
+        let n_ctr = n_data.div_ceil(LINES_PER_COUNTER_BLOCK);
+        let geometry = TreeGeometry::new(n_ctr, 8);
+        let (lines, (counters, tree, sct, smt)) = LineRegions::alloc(config, n_data, |alloc| {
+            (
+                alloc.alloc("counters", n_ctr),
+                alloc.alloc("tree", geometry.interior_blocks().max(1)),
+                alloc.alloc("sct", sct_slots),
+                alloc.alloc("smt", smt_slots),
+            )
+        });
+        BonsaiLayout {
+            lines,
+            counters,
+            tree,
+            sct,
+            smt,
+            geometry,
+        }
+    }
+
+    /// The integrity-tree shape (leaves = counter blocks).
+    pub fn geometry(&self) -> &TreeGeometry {
+        &self.geometry
+    }
+
     /// The counter block (tree leaf) covering a data line, and the line's
     /// slot within it.
     pub fn counter_of(&self, addr: DataAddr) -> (NodeId, usize) {
@@ -144,7 +198,7 @@ impl BonsaiLayout {
     /// The data line covered by counter leaf `leaf` at minor slot `slot`.
     pub fn line_of(&self, leaf: u64, slot: usize) -> Option<DataAddr> {
         let idx = leaf * LINES_PER_COUNTER_BLOCK + slot as u64;
-        (idx < self.data.len()).then_some(DataAddr::new(idx))
+        (idx < self.data_blocks()).then_some(DataAddr::new(idx))
     }
 
     /// Device address of any tree node: leaves map into the counter
@@ -188,42 +242,29 @@ impl BonsaiLayout {
     pub fn smt_slots(&self) -> u64 {
         self.smt.len()
     }
-
-    /// The quarantine spare pool: device addresses reserved for remapping
-    /// retired blocks.
-    pub fn spare_pool(&self) -> Vec<BlockAddr> {
-        (0..self.spare.len()).map(|i| self.spare.nth(i)).collect()
-    }
-
-    /// Device address of the `i`-th block of the persisted remap table.
-    pub fn qtable_addr(&self, i: u64) -> BlockAddr {
-        self.qtable.nth(i)
-    }
-
-    /// Capacity of the remap-table region, in blocks.
-    pub fn qtable_blocks(&self) -> u64 {
-        self.qtable.len()
-    }
 }
 
 /// NVM layout for the SGX-style controller family.
 ///
-/// Regions: `data`, `side`, `leaves` (SGX counter leaves, 8 lines each),
-/// `tree` (interior SGX nodes, excluding the on-chip top node), `st`
-/// (the ASIT Shadow Table), `spare` (bad-block quarantine pool) and
-/// `qtable` (the persisted remap table).
+/// Regions, in order: the shared `data` and `side` [`LineRegions`],
+/// `leaves` (SGX counter leaves, 8 lines each), `tree` (interior SGX
+/// nodes, excluding the on-chip top node), `st` (the ASIT Shadow Table),
+/// then the shared `spare` and `qtable`.
 #[derive(Clone, Debug)]
 pub struct SgxLayout {
-    data: Region,
-    side: Region,
+    lines: LineRegions,
     leaves: Region,
     tree: Region,
     st: Region,
-    spare: Region,
-    qtable: Region,
     geometry: TreeGeometry,
-    total_blocks: u64,
-    regions: RegionAllocator,
+}
+
+impl Deref for SgxLayout {
+    type Target = LineRegions;
+
+    fn deref(&self) -> &LineRegions {
+        &self.lines
+    }
 }
 
 impl SgxLayout {
@@ -233,60 +274,27 @@ impl SgxLayout {
         let n_data = config.data_blocks().max(LINES_PER_SGX_LEAF);
         let n_leaves = n_data.div_ceil(LINES_PER_SGX_LEAF);
         let geometry = TreeGeometry::new(n_leaves, 8);
-        let mut alloc = RegionAllocator::new();
-        let data = alloc.alloc("data", n_data);
-        let side = alloc.alloc("side", n_data);
-        let leaves = alloc.alloc("leaves", n_leaves);
         // The top node lives on-chip; it has no NVM home.
         let interior_wo_top = geometry.interior_blocks().saturating_sub(1);
-        let tree = alloc.alloc("tree", interior_wo_top.max(1));
-        let st = alloc.alloc("st", st_slots);
-        let n_spare = config.spare_blocks.max(1);
-        let spare = alloc.alloc("spare", n_spare);
-        let qtable = alloc.alloc("qtable", RemapTable::blocks_for(2 * n_spare));
-        let total_blocks = alloc.total_blocks();
+        let (lines, (leaves, tree, st)) = LineRegions::alloc(config, n_data, |alloc| {
+            (
+                alloc.alloc("leaves", n_leaves),
+                alloc.alloc("tree", interior_wo_top.max(1)),
+                alloc.alloc("st", st_slots),
+            )
+        });
         SgxLayout {
-            data,
-            side,
+            lines,
             leaves,
             tree,
             st,
-            spare,
-            qtable,
             geometry,
-            total_blocks,
-            regions: alloc,
         }
-    }
-
-    /// Total device size needed, in bytes.
-    pub fn device_bytes(&self) -> u64 {
-        self.total_blocks * 64
-    }
-
-    /// The region map for device statistics attribution.
-    pub fn regions(&self) -> RegionAllocator {
-        self.regions.clone()
     }
 
     /// The tree shape (leaves = SGX counter leaves).
     pub fn geometry(&self) -> &TreeGeometry {
         &self.geometry
-    }
-
-    /// Number of data lines.
-    pub fn data_blocks(&self) -> u64 {
-        self.data.len()
-    }
-
-    /// Device address of a data line.
-    pub fn data_addr(&self, addr: DataAddr) -> BlockAddr {
-        self.data.nth(addr.index())
-    }
-
-    /// Device address of a data line's side block.
-    pub fn side_addr(&self, addr: DataAddr) -> BlockAddr {
-        self.side.nth(addr.index())
     }
 
     /// The leaf covering a data line, and the line's counter slot in it.
@@ -339,22 +347,6 @@ impl SgxLayout {
     /// Number of ST slots.
     pub fn st_slots(&self) -> u64 {
         self.st.len()
-    }
-
-    /// The quarantine spare pool: device addresses reserved for remapping
-    /// retired blocks.
-    pub fn spare_pool(&self) -> Vec<BlockAddr> {
-        (0..self.spare.len()).map(|i| self.spare.nth(i)).collect()
-    }
-
-    /// Device address of the `i`-th block of the persisted remap table.
-    pub fn qtable_addr(&self, i: u64) -> BlockAddr {
-        self.qtable.nth(i)
-    }
-
-    /// Capacity of the remap-table region, in blocks.
-    pub fn qtable_blocks(&self) -> u64 {
-        self.qtable.len()
     }
 }
 

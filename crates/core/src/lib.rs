@@ -48,6 +48,7 @@
 
 mod config;
 mod cost;
+mod datapath;
 mod error;
 mod layout;
 mod shadow;
@@ -62,8 +63,9 @@ pub mod supervisor;
 pub use bonsai::{BonsaiController, BonsaiScheme};
 pub use config::AnubisConfig;
 pub use cost::{CostAccum, OpCost};
+pub use datapath::DataPath;
 pub use error::{freshness_hint, MemError, RecoveryError};
-pub use layout::{BonsaiLayout, DataAddr, SgxLayout, LINES_PER_COUNTER_BLOCK};
+pub use layout::{BonsaiLayout, DataAddr, LineRegions, SgxLayout, LINES_PER_COUNTER_BLOCK};
 pub use recovery::RecoveryReport;
 pub use sgx::{SgxController, SgxScheme};
 pub use shadow::{ShadowAddrEntry, StEntry};
@@ -72,13 +74,6 @@ pub use supervisor::{RecoveryOutcome, RepairSummary, Supervised, SupervisedRecov
 pub use anubis_telemetry as telemetry;
 
 use anubis_nvm::{Block, NvmBackend, PersistenceDomain};
-
-/// Pending-op watermark at which [`MemoryController::write_batch`]
-/// overrides flush their accumulated commit group. One write stages at
-/// most a handful of ops (data + side + counters + an eager tree path),
-/// so flushing here keeps the group safely inside the persist queue's
-/// `PREG_CAPACITY` of 64.
-pub(crate) const GROUP_FLUSH_WATERMARK: usize = 24;
 
 /// The uniform controller surface shared by every scheme.
 ///

@@ -30,6 +30,16 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
+    /// Adds the work counted in `other` (recovery lanes tally their items
+    /// separately; the main thread merges them in item order).
+    pub(crate) fn merge(&mut self, other: &RecoveryReport) {
+        self.nvm_reads += other.nvm_reads;
+        self.nvm_writes += other.nvm_writes;
+        self.hash_ops += other.hash_ops;
+        self.counters_fixed += other.counters_fixed;
+        self.nodes_fixed += other.nodes_fixed;
+    }
+
     /// Total recovery operations under the paper's cost model.
     pub fn total_ops(&self) -> u64 {
         self.nvm_reads + self.nvm_writes + self.hash_ops

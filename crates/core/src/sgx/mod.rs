@@ -15,7 +15,8 @@ mod tests;
 
 use crate::config::AnubisConfig;
 use crate::cost::{CostAccum, OpCost};
-use crate::error::{freshness_hint, IntegrityWitness, MemError, RecoveryError};
+use crate::datapath::{publish_cache, DataPath};
+use crate::error::{IntegrityWitness, MemError, RecoveryError};
 use crate::layout::{DataAddr, SgxLayout};
 use crate::recovery::RecoveryReport;
 use crate::shadow::StEntry;
@@ -24,10 +25,10 @@ use crate::MemoryController;
 use anubis_cache::MetadataCache;
 use anubis_crypto::hash::Hasher64;
 use anubis_crypto::otp::IvCounter;
-use anubis_crypto::{DataCodec, MacCache, SealedBlock, SgxCounterNode, SGX_COUNTERS_PER_NODE};
+use anubis_crypto::{SgxCounterNode, SGX_COUNTERS_PER_NODE};
 use anubis_itree::bonsai::Root;
 use anubis_itree::NodeId;
-use anubis_nvm::{Block, BlockAddr, MemBackend, NvmBackend, PersistenceDomain, WriteOp};
+use anubis_nvm::{Block, MemBackend, NvmBackend, PersistenceDomain};
 use anubis_telemetry::Telemetry;
 
 /// Backend register slot mirroring the on-chip top counter node.
@@ -112,8 +113,7 @@ pub struct SgxController<B: NvmBackend = MemBackend> {
     scheme: SgxScheme,
     config: AnubisConfig,
     layout: SgxLayout,
-    domain: PersistenceDomain<B>,
-    codec: DataCodec,
+    dp: DataPath<B>,
     mac_key: Hasher64,
     cache: MetadataCache<SgxEntry>,
     /// On-chip persistent register: the top node's eight version counters.
@@ -129,27 +129,6 @@ pub struct SgxController<B: NvmBackend = MemBackend> {
     /// Root value to install at commit time (keeps the register update
     /// atomic with the ST write group).
     pending_shadow_root: Option<Root>,
-    /// Words repaired by the SEC-DED decoder on the data read path.
-    ecc_corrections: u64,
-    /// Snapshot images the restore path rejected (parse failure or
-    /// epoch behind the sealed anchor).
-    snapshot_rejected: u64,
-    cost: OpCost,
-    totals: CostAccum,
-    pending: Vec<WriteOp>,
-    /// Volatile cache of MAC-verified line fingerprints: reads of
-    /// unmodified lines skip the MAC recomputation (cleared on crash).
-    mac_cache: MacCache,
-    /// Data seals deferred to commit time, where the whole group is
-    /// sealed through the batch crypto path: `(addr, iv, plaintext)`.
-    seal_jobs: Vec<(BlockAddr, IvCounter, Block)>,
-    /// Indices into `pending` of the placeholder (ciphertext, side) ops
-    /// each seal job fills in, parallel to `seal_jobs`.
-    seal_slots: Vec<(usize, usize)>,
-    /// Reused output buffer for the batch seal (allocation-free steady
-    /// state).
-    seal_out: Vec<SealedBlock>,
-    telemetry: Telemetry,
     /// Simulation oracle: whether the last crash destroyed dirty cached
     /// metadata. Write-back and Osiris cannot recover an SGX tree in that
     /// case (paper §3); in hardware the failure surfaces as stale or
@@ -160,25 +139,17 @@ pub struct SgxController<B: NvmBackend = MemBackend> {
 impl SgxController {
     /// Builds a controller over a fresh all-zero in-memory NVM image.
     pub fn new(scheme: SgxScheme, config: &AnubisConfig) -> Self {
-        Self::assemble(scheme, config, |layout| {
-            PersistenceDomain::new(layout.device_bytes())
-        })
+        Self::assemble(scheme, config, MemBackend::new())
     }
 }
 
 impl<B: NvmBackend> SgxController<B> {
-    /// Shared construction over any persistence domain.
-    fn assemble(
-        scheme: SgxScheme,
-        config: &AnubisConfig,
-        make_domain: impl FnOnce(&SgxLayout) -> PersistenceDomain<B>,
-    ) -> Self {
+    /// Shared construction over any storage backend.
+    fn assemble(scheme: SgxScheme, config: &AnubisConfig, backend: B) -> Self {
         let cache: MetadataCache<SgxEntry> =
             MetadataCache::new(config.metadata_cache_bytes, config.metadata_cache_ways);
         let layout = SgxLayout::new(config, cache.num_slots() as u64);
-        let mut domain = make_domain(&layout);
-        domain.device_mut().register_regions(layout.regions());
-        domain.device_mut().install_spare_pool(layout.spare_pool());
+        let dp = DataPath::new(backend, &layout, config.key);
         let mac_key = Hasher64::new(config.key.derive("sgx-mac"));
         let mut canonical_zero = SgxCounterNode::new();
         canonical_zero.seal(&mac_key, 0);
@@ -189,8 +160,7 @@ impl<B: NvmBackend> SgxController<B> {
             scheme,
             config: config.clone(),
             layout,
-            domain,
-            codec: DataCodec::new(config.key),
+            dp,
             mac_key,
             cache,
             top: SgxCounterNode::new(),
@@ -198,16 +168,6 @@ impl<B: NvmBackend> SgxController<B> {
             shadow_tree,
             shadow_root,
             pending_shadow_root: None,
-            ecc_corrections: 0,
-            snapshot_rejected: 0,
-            cost: OpCost::zero(),
-            totals: CostAccum::default(),
-            pending: Vec::new(),
-            mac_cache: MacCache::default(),
-            seal_jobs: Vec::new(),
-            seal_slots: Vec::new(),
-            seal_out: Vec::new(),
-            telemetry: Telemetry::global(),
             lost_dirty_metadata: false,
         }
     }
@@ -228,22 +188,20 @@ impl<B: NvmBackend> SgxController<B> {
     /// strict persistence and ASIT survive an unclean restart, exactly
     /// as across an in-process crash.
     ///
-    /// A corrupt persisted quarantine table does not fail the reopen; the
-    /// controller proceeds with an empty table and the second element
-    /// carries [`RecoveryError::CorruptImage`] for
-    /// [`crate::Supervisor::repair_then_recover`].
+    /// The second element is the supervisor's restart hint: a freshness
+    /// refusal, or [`RecoveryError::CorruptImage`] when the persisted
+    /// quarantine table does not parse (the reopen then proceeds with an
+    /// empty table).
     pub fn reopen(
         scheme: SgxScheme,
         config: &AnubisConfig,
         backend: B,
     ) -> (Self, Option<RecoveryError>) {
-        let mut c = Self::assemble(scheme, config, move |layout| {
-            PersistenceDomain::with_backend(layout.device_bytes(), backend)
-        });
-        if let Some(b) = c.domain.reg(REG_TOP) {
+        let mut c = Self::assemble(scheme, config, backend);
+        if let Some(b) = c.dp.domain.reg(REG_TOP) {
             c.top = SgxCounterNode::from_block(&b);
         }
-        if let Some(b) = c.domain.reg(REG_SHADOW) {
+        if let Some(b) = c.dp.domain.reg(REG_SHADOW) {
             c.shadow_root = Root(b.word(0));
         }
         // The volatile shadow-tree interior did not survive the process;
@@ -256,61 +214,8 @@ impl<B: NvmBackend> SgxController<B> {
             scheme,
             SgxScheme::WriteBack | SgxScheme::EagerWriteBack | SgxScheme::Osiris
         );
-        let hint = freshness_hint(c.domain.freshness()).or_else(|| c.reload_quarantine_table());
+        let hint = c.dp.reopen_hint();
         (c, hint)
-    }
-
-    /// Records a snapshot image rejected by the restore path (parse
-    /// failure or an epoch behind the sealed anchor) for the
-    /// `snapshot_rejected_total` counter.
-    pub fn note_snapshot_rejected(&mut self) {
-        self.snapshot_rejected += 1;
-    }
-
-    /// Restores a captured domain snapshot, refusing one whose epoch is
-    /// behind the device's current freshness epoch — a substituted stale
-    /// snapshot must never silently replace newer committed state. A
-    /// refusal is counted in `snapshot_rejected_total`.
-    ///
-    /// # Errors
-    ///
-    /// [`anubis_nvm::NvmError::Snapshot`] with
-    /// [`anubis_nvm::SnapshotError::StaleEpoch`] for a rolled-back
-    /// snapshot; other [`anubis_nvm::NvmError`]s from the apply itself.
-    pub fn restore_snapshot(
-        &mut self,
-        snap: &anubis_nvm::Snapshot,
-    ) -> Result<(), anubis_nvm::NvmError> {
-        match self.domain.apply_snapshot(snap) {
-            Err(e) => {
-                self.note_snapshot_rejected();
-                Err(e)
-            }
-            Ok(()) => Ok(()),
-        }
-    }
-
-    /// Reloads the persisted bad-block remap table from the qtable
-    /// region; returns the corrupt-image hint on parse failure.
-    fn reload_quarantine_table(&mut self) -> Option<RecoveryError> {
-        let blocks: Vec<Block> = (0..self.layout.qtable_blocks())
-            .map(|i| self.domain.device().peek(self.layout.qtable_addr(i)))
-            .collect();
-        match blocks.first() {
-            None => None,
-            Some(header) if header.is_zeroed() => None,
-            Some(_) => match self.domain.device_mut().load_quarantine_table(&blocks) {
-                Ok(()) => None,
-                Err(_) => Some(RecoveryError::CorruptImage {
-                    what: "quarantine table",
-                }),
-            },
-        }
-    }
-
-    /// The scheme this controller runs.
-    pub fn scheme(&self) -> SgxScheme {
-        self.scheme
     }
 
     /// The memory layout (for tamper experiments).
@@ -318,24 +223,9 @@ impl<B: NvmBackend> SgxController<B> {
         &self.layout
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &AnubisConfig {
-        &self.config
-    }
-
-    /// Combined metadata-cache statistics.
-    pub fn cache_stats(&self) -> &anubis_cache::CacheStats {
-        self.cache.stats()
-    }
-
-    /// Direct access to the persistence domain (tamper API, device stats).
-    pub fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.domain
-    }
-
-    /// Read-only access to the persistence domain.
-    pub fn domain(&self) -> &PersistenceDomain<B> {
-        &self.domain
+    /// The shared data path (snapshot restore, data-line machinery).
+    pub fn data_path_mut(&mut self) -> &mut DataPath<B> {
+        &mut self.dp
     }
 
     /// The on-chip `SHADOW_TREE_ROOT` register (ASIT).
@@ -346,76 +236,7 @@ impl<B: NvmBackend> SgxController<B> {
     /// Total data words repaired by the SEC-DED decoder (correctable
     /// bit-flip faults absorbed on the read path).
     pub fn ecc_corrections(&self) -> u64 {
-        self.ecc_corrections
-    }
-
-    /// The telemetry handle the controller records spans and counters
-    /// through (defaults to the process-global registry).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Publishes current device/cache/controller counters into the
-    /// telemetry registry. See [`MemoryController::publish_telemetry`].
-    pub fn publish_telemetry(&self) {
-        if !self.telemetry.enabled() {
-            return;
-        }
-        let t = &self.telemetry;
-        let scheme = self.scheme_name();
-        let dev = self.domain.device().stats().snapshot();
-        t.counter_set("nvm_reads_total", scheme, dev.reads);
-        t.counter_set("nvm_writes_total", scheme, dev.writes);
-        t.counter_set(
-            "nvm_max_writes_to_one_block",
-            scheme,
-            dev.max_writes_to_one_block,
-        );
-        for (region, n) in &dev.writes_by_region {
-            t.counter_set("nvm_region_writes_total", region, *n);
-        }
-        let shadow = dev
-            .writes_by_region
-            .iter()
-            .filter(|(r, _)| *r == "st")
-            .map(|(_, n)| *n)
-            .sum::<u64>();
-        t.counter_set("shadow_table_writes_total", scheme, shadow);
-        t.counter_set("persist_writes_total", scheme, self.domain.persist_writes());
-        t.counter_set("ecc_corrections_total", scheme, self.ecc_corrections);
-        let cache = self.cache.stats();
-        t.counter_set("cache_hits_total", "metadata", cache.hits);
-        t.counter_set("cache_misses_total", "metadata", cache.misses);
-        if let Some(rate) = cache.hit_rate() {
-            t.gauge_set("cache_hit_rate", "metadata", rate);
-        }
-        t.counter_set("cache_hits_total", "mac", self.mac_cache.hits());
-        t.counter_set("cache_misses_total", "mac", self.mac_cache.misses());
-        let quarantine = self.domain.device().quarantine_table();
-        t.gauge_set("quarantined_blocks", scheme, quarantine.len() as f64);
-        t.gauge_set(
-            "quarantine_spares_left",
-            scheme,
-            quarantine.spares_left() as f64,
-        );
-        t.counter_set(
-            "quarantine_lost_lines_total",
-            scheme,
-            quarantine.lost_lines(),
-        );
-        t.gauge_set("wpq_occupancy", scheme, self.domain.wpq_occupancy() as f64);
-        t.gauge_set("wpq_capacity", scheme, self.domain.wpq_capacity() as f64);
-        t.counter_set(
-            "wal_rejected_total",
-            scheme,
-            self.domain.device().backend().frames_rejected(),
-        );
-        t.counter_set("snapshot_rejected_total", scheme, self.snapshot_rejected);
-        let rolled_back = matches!(
-            self.domain.freshness(),
-            anubis_nvm::Freshness::RolledBack { .. }
-        );
-        t.counter_set("rollback_detected_total", scheme, rolled_back as u64);
+        self.dp.ecc_corrections
     }
 
     /// Runs post-crash recovery with an explicit lane count, bypassing
@@ -431,24 +252,6 @@ impl<B: NvmBackend> SgxController<B> {
         recovery::recover(self, lanes)
     }
 
-    /// Test/debug hook: every resident metadata node as
-    /// `(device address, node, dirty)`.
-    #[doc(hidden)]
-    pub fn debug_resident(&self) -> Vec<(BlockAddr, SgxCounterNode, bool)> {
-        self.cache
-            .iter_resident()
-            .map(|(_, addr, entry, dirty)| (addr, entry.node, dirty))
-            .collect()
-    }
-
-    /// Test/debug hook: the slot a resident node occupies.
-    #[doc(hidden)]
-    pub fn debug_slot_of(&self, addr: BlockAddr) -> Option<u64> {
-        self.cache
-            .slot_of(addr)
-            .map(|s| s.linear(self.cache.ways()) as u64)
-    }
-
     /// Test/debug hook: re-anchors `SHADOW_TREE_ROOT` (and the volatile
     /// shadow tree) to the Shadow Table image currently in NVM, as if
     /// every slot had been written through the normal ST path. Lets
@@ -457,96 +260,34 @@ impl<B: NvmBackend> SgxController<B> {
     #[doc(hidden)]
     pub fn debug_refresh_shadow_root_from_nvm(&mut self) {
         let st_blocks: Vec<Block> = (0..self.layout.st_slots())
-            .map(|s| self.domain.device().read(self.layout.st_slot(s)))
+            .map(|s| self.dp.domain.device().read(self.layout.st_slot(s)))
             .collect();
         let tree = ShadowTree::rebuild(self.config.key, st_blocks);
         self.shadow_root = tree.root();
         self.shadow_tree = Some(tree);
     }
 
-    // ------------------------------------------------------------------
-    // Cost-counted primitives
-    // ------------------------------------------------------------------
-
-    fn nvm_read(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
-        self.cost.nvm_reads += 1;
-        self.read_through(addr)
+    /// Starts a data-path operation: the shared reset, plus dropping any
+    /// shadow root an aborted operation staged without committing.
+    fn begin(&mut self) {
+        self.dp.begin_op();
+        self.pending_shadow_root = None;
     }
 
-    fn nvm_read_free(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
-        self.read_through(addr)
-    }
-
-    /// Store-to-load forwarding: the controller must observe writes it has
-    /// staged for the current commit group but not yet pushed to the WPQ.
-    fn read_through(&mut self, addr: BlockAddr) -> Result<Block, MemError> {
-        if let Some(op) = self.pending.iter().rev().find(|op| op.addr == addr) {
-            return Ok(op.block);
-        }
-        Ok(self.domain.read(addr)?)
-    }
-
-    fn stage(&mut self, addr: BlockAddr, block: Block) {
-        self.cost.nvm_writes += 1;
-        self.pending.push(WriteOp::new(addr, block));
-    }
-
-    fn stage_free(&mut self, addr: BlockAddr, block: Block) {
-        self.pending.push(WriteOp::new(addr, block));
-    }
-
-    /// Stages a data-line seal for the current commit group without
-    /// computing it yet: placeholder ciphertext/side ops hold the group
-    /// positions, and [`resolve_seals`](Self::resolve_seals) fills them
-    /// in at commit time through the batch crypto path.
-    fn stage_sealed(&mut self, dev: BlockAddr, side_addr: BlockAddr, iv: IvCounter, data: Block) {
-        self.cost.hash_ops += 2; // pad + MAC
-        let data_idx = self.pending.len();
-        self.stage(dev, Block::zeroed());
-        let side_idx = self.pending.len();
-        self.stage_free(side_addr, Block::zeroed());
-        self.seal_jobs.push((dev, iv, data));
-        self.seal_slots.push((data_idx, side_idx));
-    }
-
-    /// Seals every deferred data line of the current group in one batch
-    /// and patches the placeholder ops. Also primes the MAC cache: a
-    /// freshly sealed line is by construction MAC-verified.
-    fn resolve_seals(&mut self) {
-        if self.seal_jobs.is_empty() {
-            return;
-        }
-        self.codec
-            .seal_batch_into(&self.seal_jobs, &mut self.seal_out);
-        for (((dev, iv, _), (data_idx, side_idx)), sealed) in self
-            .seal_jobs
-            .iter()
-            .zip(&self.seal_slots)
-            .zip(&self.seal_out)
-        {
-            self.pending[*data_idx].block = sealed.ciphertext;
-            let mut side = Block::zeroed();
-            side.set_word(0, sealed.ecc);
-            side.set_word(1, sealed.mac);
-            self.pending[*side_idx].block = side;
-            self.codec
-                .note_sealed(&mut self.mac_cache, *dev, *iv, sealed);
-        }
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
-    }
-
+    /// Commits the staged group with backend mirrors of the on-chip
+    /// persistent registers, so a restart can restore them via
+    /// [`SgxController::reopen`]. The shadow-root mirror carries the
+    /// value the register will hold once this commit lands
+    /// (`pending_shadow_root`), keeping the durable mirror atomic with
+    /// the ST writes it protects — the same barrier acks both.
     fn commit(&mut self) -> Result<(), MemError> {
-        self.resolve_seals();
-        let result = if self.pending.is_empty() {
-            Ok(())
-        } else {
-            let ops = std::mem::take(&mut self.pending);
-            let regs = self.reg_mirrors();
-            self.domain
-                .commit_group_with_regs(ops, &regs)
-                .map_err(MemError::from)
-        };
+        let top = &self.top;
+        let shadow_root = self.pending_shadow_root.unwrap_or(self.shadow_root);
+        let result = self.dp.commit(|| {
+            let mut shadow = Block::zeroed();
+            shadow.set_word(0, shadow_root.0);
+            [(REG_TOP, top.to_block()), (REG_SHADOW, shadow)]
+        });
         // The SHADOW_TREE_ROOT register update rides the commit: atomic
         // with the ST writes from the hardware's perspective. A power cut
         // mid-drain leaves the group in the persistent REDO registers, so
@@ -562,19 +303,6 @@ impl<B: NvmBackend> SgxController<B> {
             Err(_) => {}
         }
         result
-    }
-
-    /// Backend mirrors of the on-chip persistent registers, committed
-    /// (and made durable) with every group so a restart can restore them
-    /// via [`SgxController::reopen`]. The shadow-root mirror carries the
-    /// value the register will hold once this commit lands
-    /// (`pending_shadow_root`), keeping the durable mirror atomic with
-    /// the ST writes it protects — the same barrier acks both.
-    fn reg_mirrors(&self) -> [(u8, Block); 2] {
-        let mut shadow = Block::zeroed();
-        let root = self.pending_shadow_root.unwrap_or(self.shadow_root);
-        shadow.set_word(0, root.0);
-        [(REG_TOP, self.top.to_block()), (REG_SHADOW, shadow)]
     }
 
     // ------------------------------------------------------------------
@@ -601,7 +329,7 @@ impl<B: NvmBackend> SgxController<B> {
         // Not resident: NVM copy is current (lazy scheme invariant — a
         // parent counter only changes when this child is written back,
         // which marks the parent dirty and resident).
-        let block = self.nvm_read(p_addr)?;
+        let block = self.dp.nvm_read(p_addr)?;
         Ok(SgxCounterNode::from_block(&block).counter(slot))
     }
 
@@ -632,31 +360,18 @@ impl<B: NvmBackend> SgxController<B> {
                 entry.node.increment(slot);
                 entry.node.counter(slot)
             };
-            let first_mod = self.cache.mark_dirty(p_addr);
-            self.after_update_hooks(parent, first_mod)?;
+            self.cache.mark_dirty(p_addr);
+            self.after_update_hooks(parent)?;
             return Ok(new);
         }
         // Non-resident parent: its NVM copy is current (lazy invariant).
-        let block = self.nvm_read(p_addr)?;
-        let mut p_node = if block.is_zeroed() {
-            self.canonical_zero
-        } else {
-            SgxCounterNode::from_block(&block)
-        };
-        let pc_check = self.parent_counter(parent)?;
-        self.cost.hash_ops += 1;
-        if !p_node.verify(&self.mac_key, pc_check) {
-            return Err(MemError::Integrity {
-                node: parent,
-                against: IntegrityWitness::NodeMac,
-            });
-        }
+        let mut p_node = self.load_verified(parent)?;
         p_node.increment(slot);
         // Writing the parent back is itself a writeback: bump upward.
         let pc_new = self.bump_parent_counter(parent)?;
         p_node.seal(&self.mac_key, pc_new);
-        self.cost.hash_ops += 1;
-        self.stage(p_addr, p_node.to_block());
+        self.dp.cost.hash_ops += 1;
+        self.dp.stage(p_addr, p_node.to_block());
         Ok(p_node.counter(slot))
     }
 
@@ -667,7 +382,7 @@ impl<B: NvmBackend> SgxController<B> {
     /// Runs after any update to a cached node: ASIT shadow-table write
     /// (every update), Osiris stop-loss persistence, LSB-overflow
     /// persistence.
-    fn after_update_hooks(&mut self, node: NodeId, _first_mod: bool) -> Result<(), MemError> {
+    fn after_update_hooks(&mut self, node: NodeId) -> Result<(), MemError> {
         match self.scheme {
             SgxScheme::Asit => {
                 self.stage_st_entry(node)?;
@@ -712,17 +427,17 @@ impl<B: NvmBackend> SgxController<B> {
                 .linear(self.cache.ways()) as u64;
             (cs, slot)
         };
-        self.cost.hash_ops += 1;
+        self.dp.cost.hash_ops += 1;
         let mac = SgxCounterNode::compute_mac(&self.mac_key, &counters, pc);
         let lsb_mask = (1u64 << self.config.st_lsb_bits) - 1;
         let lsbs = counters.map(|c| c & lsb_mask);
         let entry = StEntry::new(addr, mac, lsbs);
         let st_addr = self.layout.st_slot(slot);
-        self.stage(st_addr, entry.to_block());
+        self.dp.stage(st_addr, entry.to_block());
         let tree = self.shadow_tree.as_mut().expect("ASIT has a shadow tree");
         // The shadow-protection tree is maintained by a dedicated on-chip
         // engine off the data path.
-        self.cost.bg_hash_ops += tree.update_hash_ops();
+        self.dp.cost.bg_hash_ops += tree.update_hash_ops();
         let root = tree.update(slot, entry.to_block());
         self.pending_shadow_root = Some(root);
         Ok(())
@@ -758,8 +473,8 @@ impl<B: NvmBackend> SgxController<B> {
             entry.node.seal(&self.mac_key, pc);
             entry.node
         };
-        self.cost.hash_ops += 1;
-        self.stage(addr, sealed.to_block());
+        self.dp.cost.hash_ops += 1;
+        self.dp.stage(addr, sealed.to_block());
         self.cache.mark_clean(addr);
         if self.scheme == SgxScheme::Asit {
             self.stage_st_entry(node)?;
@@ -792,6 +507,28 @@ impl<B: NvmBackend> SgxController<B> {
         panic!("metadata cache thrashing: cannot keep {node} resident");
     }
 
+    /// Reads `node` from NVM and verifies its MAC against its parent
+    /// counter. A never-written (all-zero) block is the canonical zero
+    /// state: a real node's MAC is zero only with probability 2^-56.
+    fn load_verified(&mut self, node: NodeId) -> Result<SgxCounterNode, MemError> {
+        let block = self.dp.nvm_read(self.layout.node_addr(node))?;
+        let loaded = if block.is_zeroed() {
+            self.canonical_zero
+        } else {
+            SgxCounterNode::from_block(&block)
+        };
+        let pc = self.parent_counter(node)?;
+        self.dp.cost.hash_ops += 1;
+        if loaded.verify(&self.mac_key, pc) {
+            Ok(loaded)
+        } else {
+            Err(MemError::Integrity {
+                node,
+                against: IntegrityWitness::NodeMac,
+            })
+        }
+    }
+
     fn fetch_chain(&mut self, node: NodeId) -> Result<(), MemError> {
         let g = self.layout.geometry().clone();
         let mut chain = vec![node];
@@ -808,22 +545,7 @@ impl<B: NvmBackend> SgxController<B> {
             if self.cache.contains(addr) {
                 continue; // an eviction cascade may have fetched it already
             }
-            let block = self.nvm_read(addr)?;
-            let fetched = if block.is_zeroed() {
-                // Never-written node: canonical zero state (a real node's
-                // MAC is zero only with probability 2^-56).
-                self.canonical_zero
-            } else {
-                SgxCounterNode::from_block(&block)
-            };
-            let pc = self.parent_counter(n)?;
-            self.cost.hash_ops += 1;
-            if !fetched.verify(&self.mac_key, pc) {
-                return Err(MemError::Integrity {
-                    node: n,
-                    against: IntegrityWitness::NodeMac,
-                });
-            }
+            let fetched = self.load_verified(n)?;
             self.insert_node(n, fetched)?;
         }
         Ok(())
@@ -859,8 +581,8 @@ impl<B: NvmBackend> SgxController<B> {
                 let pc = self.bump_parent_counter(victim)?;
                 let mut sealed = ev.value.node;
                 sealed.seal(&self.mac_key, pc);
-                self.cost.hash_ops += 1;
-                self.stage(ev.addr, sealed.to_block());
+                self.dp.cost.hash_ops += 1;
+                self.dp.stage(ev.addr, sealed.to_block());
             }
         }
         Ok(())
@@ -873,9 +595,9 @@ impl<B: NvmBackend> SgxController<B> {
     /// exist only for currently resident nodes (see DESIGN.md).
     fn clear_st_slot(&mut self, slot: u64) {
         let st_addr = self.layout.st_slot(slot);
-        self.stage(st_addr, Block::zeroed());
+        self.dp.stage(st_addr, Block::zeroed());
         let tree = self.shadow_tree.as_mut().expect("ASIT has a shadow tree");
-        self.cost.bg_hash_ops += tree.update_hash_ops();
+        self.dp.cost.bg_hash_ops += tree.update_hash_ops();
         let root = tree.update(slot, Block::zeroed());
         self.pending_shadow_root = Some(root);
     }
@@ -884,28 +606,9 @@ impl<B: NvmBackend> SgxController<B> {
     // Data path
     // ------------------------------------------------------------------
 
-    fn validate(&self, addr: DataAddr) -> Result<(), MemError> {
-        if addr.index() < self.layout.data_blocks() {
-            Ok(())
-        } else {
-            Err(MemError::OutOfRange {
-                addr,
-                capacity_blocks: self.layout.data_blocks(),
-            })
-        }
-    }
-
-    fn begin_op(&mut self) {
-        self.cost = OpCost::zero();
-        self.pending.clear();
-        self.pending_shadow_root = None;
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
-    }
-
     /// Body of one logical write: counter bump, scheme-specific
     /// propagation and the (deferred) data seal. The caller owns
-    /// `begin_op`, the final `commit` and the cost recording, so scalar
+    /// `begin`, the final `commit` and the cost recording, so scalar
     /// `write` and grouped `write_batch` share it.
     fn write_inner(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
         let (leaf, slot) = self.layout.leaf_of(addr);
@@ -922,68 +625,42 @@ impl<B: NvmBackend> SgxController<B> {
                 entry.node.increment(slot);
                 entry.node.counter(slot)
             };
-            let first_mod = self.cache.mark_dirty(leaf_addr);
-            self.after_update_hooks(leaf, first_mod)?;
-            if self.scheme == SgxScheme::StrictPersist {
-                self.strict_propagate(leaf)?;
-            }
-            if self.scheme == SgxScheme::EagerWriteBack {
-                self.eager_propagate(leaf)?;
+            self.cache.mark_dirty(leaf_addr);
+            self.after_update_hooks(leaf)?;
+            if matches!(
+                self.scheme,
+                SgxScheme::StrictPersist | SgxScheme::EagerWriteBack
+            ) {
+                self.propagate(leaf)?;
             }
             ctr
         };
         // Stage the data seal; the crypto itself is deferred to commit
         // time, where the whole group goes through the batch seal path.
-        let dev = self.layout.data_addr(addr);
-        let side_addr = self.layout.side_addr(addr);
-        self.stage_sealed(dev, side_addr, IvCounter::monolithic(ctr), data);
+        self.dp.stage_sealed(addr, IvCounter::monolithic(ctr), data);
         Ok(())
     }
 
-    /// The strict-persistence write path: eagerly bump and persist the
-    /// whole path (every node sealed against its just-bumped parent).
-    fn strict_propagate(&mut self, leaf: NodeId) -> Result<(), MemError> {
+    /// Eager propagation up the path from `leaf`: every node is resealed
+    /// against its just-bumped parent counter. Strict persistence writes
+    /// the whole path back; eager write-back keeps it dirty in the cache —
+    /// the on-chip top node is then always fresh, and yet a crash still
+    /// loses the interior (paper §2.6: eager update is insufficient for
+    /// SGX-style trees).
+    fn propagate(&mut self, leaf: NodeId) -> Result<(), MemError> {
         let g = self.layout.geometry().clone();
         let mut node = leaf;
         loop {
-            let pc = self.bump_parent_counter(node)?;
-            let addr = self.layout.node_addr(node);
-            let sealed = {
-                let entry = self.cache.peek_mut(addr).expect("resident");
-                entry.node.seal(&self.mac_key, pc);
-                entry.node
-            };
-            self.cost.hash_ops += 1;
-            self.stage(addr, sealed.to_block());
-            self.cache.mark_clean(addr);
-            match g.parent(node) {
-                Some(p) if !self.layout.is_on_chip(p) => {
-                    self.ensure_node(p)?;
-                    node = p;
-                }
-                _ => break,
-            }
-        }
-        Ok(())
-    }
-
-    /// Eager in-cache propagation (no persistence): bump every ancestor's
-    /// version counter and re-seal each node against its new parent
-    /// counter, keeping everything dirty in the cache. The on-chip top
-    /// node is always fresh — and yet a crash still loses the interior
-    /// (paper §2.6: eager update is insufficient for SGX-style trees).
-    fn eager_propagate(&mut self, leaf: NodeId) -> Result<(), MemError> {
-        let g = self.layout.geometry().clone();
-        let mut node = leaf;
-        loop {
-            let pc = self.bump_parent_counter(node)?;
-            let addr = self.layout.node_addr(node);
-            {
+            if self.scheme == SgxScheme::StrictPersist {
+                self.writeback_node(node)?;
+            } else {
+                let pc = self.bump_parent_counter(node)?;
+                let addr = self.layout.node_addr(node);
                 let entry = self.cache.peek_mut(addr).expect("resident on the path");
                 entry.node.seal(&self.mac_key, pc);
+                self.dp.cost.hash_ops += 1;
+                self.cache.mark_dirty(addr);
             }
-            self.cost.hash_ops += 1;
-            self.cache.mark_dirty(addr);
             match g.parent(node) {
                 Some(p) if !self.layout.is_on_chip(p) => {
                     self.ensure_node(p)?;
@@ -1004,16 +681,16 @@ impl<B: NvmBackend> MemoryController for SgxController<B> {
     }
 
     fn domain(&self) -> &PersistenceDomain<B> {
-        &self.domain
+        &self.dp.domain
     }
 
     fn domain_mut(&mut self) -> &mut PersistenceDomain<B> {
-        &mut self.domain
+        &mut self.dp.domain
     }
 
     fn read(&mut self, addr: DataAddr) -> Result<Block, MemError> {
-        self.validate(addr)?;
-        self.begin_op();
+        self.dp.validate(addr)?;
+        self.begin();
         let (leaf, slot) = self.layout.leaf_of(addr);
         // Degenerate single-leaf tree: the leaf IS the on-chip top node.
         let ctr = if self.layout.is_on_chip(leaf) {
@@ -1026,83 +703,44 @@ impl<B: NvmBackend> MemoryController for SgxController<B> {
                 .node
                 .counter(slot)
         };
-        let dev = self.layout.data_addr(addr);
-        let side_addr = self.layout.side_addr(addr);
-        let result = if ctr == 0 {
-            let stored = self.nvm_read(dev)?;
-            let side = self.nvm_read_free(side_addr)?;
-            if stored.is_zeroed() && side.is_zeroed() {
-                Ok(Block::zeroed())
-            } else {
-                Err(MemError::Crypto(
-                    anubis_crypto::CryptoError::DataMacMismatch,
-                ))
-            }
-        } else {
-            let ciphertext = self.nvm_read(dev)?;
-            let side = self.nvm_read_free(side_addr)?;
-            let sealed = anubis_crypto::SealedBlock {
-                ciphertext,
-                ecc: side.word(0),
-                mac: side.word(1),
-            };
-            self.cost.hash_ops += 2;
-            match self.codec.open_correcting_cached(
-                &mut self.mac_cache,
-                dev,
-                IvCounter::monolithic(ctr),
-                &sealed,
-            ) {
-                Ok((pt, fixed)) => {
-                    self.ecc_corrections += u64::from(fixed);
-                    Ok(pt)
-                }
-                Err(e) => Err(MemError::from(e)),
-            }
-        };
-        let value = result?;
+        let value = self
+            .dp
+            .open_line(addr, IvCounter::monolithic(ctr), ctr == 0)?;
         self.commit()?;
-        self.totals.record(false, self.cost);
+        self.dp.totals.record(false, self.dp.cost);
         Ok(value)
     }
 
     fn write(&mut self, addr: DataAddr, data: Block) -> Result<(), MemError> {
-        self.validate(addr)?;
-        self.begin_op();
+        self.dp.validate(addr)?;
+        self.begin();
         self.write_inner(addr, data)?;
         self.commit()?;
-        self.totals.record(true, self.cost);
+        self.dp.totals.record(true, self.dp.cost);
         Ok(())
     }
 
     fn write_batch(&mut self, items: &[(DataAddr, Block)]) -> Result<(), MemError> {
         for (addr, _) in items {
-            self.validate(*addr)?;
+            self.dp.validate(*addr)?;
         }
-        self.begin_op();
+        self.begin();
         for (addr, data) in items {
-            self.cost = OpCost::zero();
+            self.dp.cost = OpCost::zero();
             self.write_inner(*addr, *data)?;
-            // Flush before the accumulated group can overrun the persist
-            // queue's `PREG_CAPACITY`.
-            if self.pending.len() >= crate::GROUP_FLUSH_WATERMARK {
+            if self.dp.group_full() {
                 self.commit()?;
             }
-            self.totals.record(true, self.cost);
+            self.dp.totals.record(true, self.dp.cost);
         }
         self.commit()
     }
 
     fn crash(&mut self) {
-        self.domain.power_fail();
+        self.dp.power_fail();
         self.lost_dirty_metadata = self.cache.iter_resident().any(|(_, _, _, dirty)| dirty);
         self.cache.invalidate_all();
-        self.pending.clear();
         self.pending_shadow_root = None;
-        self.seal_jobs.clear();
-        self.seal_slots.clear();
-        // MAC-verification cache is volatile state: it dies with power.
-        self.mac_cache.clear();
         // Volatile shadow-tree interior is lost; rebuilt during recovery.
         if self.scheme == SgxScheme::Asit {
             self.shadow_tree = None;
@@ -1115,7 +753,7 @@ impl<B: NvmBackend> MemoryController for SgxController<B> {
     }
 
     fn shutdown_flush(&mut self) -> Result<(), MemError> {
-        self.begin_op();
+        self.begin();
         // Write back every dirty node, deepest levels first so parent
         // counter bumps target still-resident parents coherently.
         loop {
@@ -1136,29 +774,30 @@ impl<B: NvmBackend> MemoryController for SgxController<B> {
             self.commit()?;
         }
         self.commit()?;
-        self.domain.drain_wpq();
+        self.dp.domain.drain_wpq();
         Ok(())
     }
 
     fn last_cost(&self) -> OpCost {
-        self.cost
+        self.dp.cost
     }
 
     fn total_cost(&self) -> &CostAccum {
-        &self.totals
+        &self.dp.totals
     }
 
     fn reset_costs(&mut self) {
-        self.totals.reset();
+        self.dp.reset_costs();
         self.cache.reset_stats();
-        self.domain.device_mut().reset_stats();
     }
 
     fn set_telemetry(&mut self, t: Telemetry) {
-        self.telemetry = t;
+        self.dp.telemetry = t;
     }
 
     fn publish_telemetry(&self) {
-        Self::publish_telemetry(self);
+        if let Some(t) = self.dp.publish_telemetry(self.scheme.name(), &["st"]) {
+            publish_cache(t, "metadata", self.cache.stats());
+        }
     }
 }

@@ -31,22 +31,16 @@ use anubis_crypto::{SgxCounterNode, SGX_COUNTERS_PER_NODE};
 use anubis_nvm::{BlockAddr, NvmBackend};
 use std::collections::BTreeMap;
 
-#[derive(Default)]
-struct Tally {
-    reads: u64,
-    writes: u64,
-    hashes: u64,
-    nodes_fixed: u64,
-}
-
 pub(super) fn recover<B: NvmBackend>(
     c: &mut SgxController<B>,
     lanes: usize,
 ) -> Result<RecoveryReport, RecoveryError> {
-    let tel = c.telemetry.clone();
+    let tel = c.dp.telemetry.clone();
     let _recovery_span = tel.span("recovery", c.scheme_name());
-    let redo_writes = c.domain.power_up() as u64;
-    let mut t = Tally::default();
+    let mut t = RecoveryReport {
+        redo_writes: c.dp.domain.power_up() as u64,
+        ..RecoveryReport::default()
+    };
     match c.scheme {
         SgxScheme::StrictPersist => {
             // Everything persisted eagerly; the tree in NVM plus the
@@ -64,36 +58,28 @@ pub(super) fn recover<B: NvmBackend>(
         SgxScheme::Asit => recover_asit(c, &mut t, lanes)?,
     }
     tel.incr("recovery_runs_total", c.scheme_name(), 1);
-    Ok(RecoveryReport {
-        nvm_reads: t.reads,
-        nvm_writes: t.writes,
-        hash_ops: t.hashes,
-        counters_fixed: 0,
-        nodes_fixed: t.nodes_fixed,
-        redo_writes,
-        reencryption_completed: false,
-    })
+    Ok(t)
 }
 
 /// Algorithm 2 (paper §4.3.2).
 fn recover_asit<B: NvmBackend>(
     c: &mut SgxController<B>,
-    t: &mut Tally,
+    t: &mut RecoveryReport,
     lanes: usize,
 ) -> Result<(), RecoveryError> {
-    let tel = c.telemetry.clone();
+    let tel = c.dp.telemetry.clone();
     // Step 1: read the whole Shadow Table — independent slot reads, fanned
     // out across lanes, collected in slot order.
     let st_slots = c.layout.st_slots();
     let st_blocks = {
         let _span = tel.span("recovery_phase", "st_scan").items(st_slots);
-        let dev = c.domain.device();
+        let dev = c.dp.domain.device();
         let layout = &c.layout;
         parallel::map_range_traced(lanes, st_slots, &tel, "st_scan_lane", |slot| {
             dev.read(layout.st_slot(slot))
         })
     };
-    t.reads += st_slots;
+    t.nvm_reads += st_slots;
 
     // Step 2: regenerate SHADOW_TREE_ROOT and verify against the on-chip
     // register.
@@ -101,7 +87,7 @@ fn recover_asit<B: NvmBackend>(
         let _span = tel.span("recovery_phase", "shadow_verify");
         ShadowTree::rebuild(c.config.key, st_blocks.clone())
     };
-    t.hashes += rebuilt.rebuild_hash_ops();
+    t.hash_ops += rebuilt.rebuild_hash_ops();
     if rebuilt.root() != c.shadow_root {
         return Err(RecoveryError::ShadowTableTampered);
     }
@@ -119,7 +105,7 @@ fn recover_asit<B: NvmBackend>(
         .span("recovery_phase", "splice")
         .items(entries.len() as u64);
     let recovered: Vec<(BlockAddr, SgxCounterNode)> = {
-        let dev = c.domain.device();
+        let dev = c.dp.domain.device();
         parallel::map_slice_traced(
             lanes,
             &entries,
@@ -131,7 +117,7 @@ fn recover_asit<B: NvmBackend>(
             },
         )
     };
-    t.reads += recovered.len() as u64;
+    t.nvm_reads += recovered.len() as u64;
     for (addr, node) in &recovered {
         let outcome = c.cache.insert(
             *addr,
@@ -163,7 +149,7 @@ fn recover_asit<B: NvmBackend>(
         .span("recovery_phase", "mac_verify")
         .items(recovered.len() as u64);
     let verdicts: Vec<(u64, bool, BlockAddr)> = {
-        let dev = c.domain.device();
+        let dev = c.dp.domain.device();
         let layout = &c.layout;
         let cache = &c.cache;
         let top = c.top;
@@ -196,8 +182,8 @@ fn recover_asit<B: NvmBackend>(
         )
     };
     for (extra_reads, ok, addr) in verdicts {
-        t.reads += extra_reads;
-        t.hashes += 1;
+        t.nvm_reads += extra_reads;
+        t.hash_ops += 1;
         if !ok {
             tel.incr("recovery_errors_total", "node_mac_mismatch", 1);
             return Err(RecoveryError::NodeMacMismatch { addr });
@@ -219,7 +205,7 @@ fn recover_asit<B: NvmBackend>(
         .items(recovered.len() as u64);
     let lsb_mask = (1u64 << lsb_bits) - 1;
     let mut fresh_tree = ShadowTree::new(c.config.key, st_slots);
-    t.hashes += fresh_tree.rebuild_hash_ops();
+    t.hash_ops += fresh_tree.rebuild_hash_ops();
     let mut occupied = vec![false; st_slots as usize];
     for (addr, node) in &recovered {
         // Residency was established by the insert loop above; a miss here
@@ -235,8 +221,8 @@ fn recover_asit<B: NvmBackend>(
             *l = node.counter(i) & lsb_mask;
         }
         let entry = StEntry::new(*addr, node.mac(), lsbs);
-        t.writes += 1;
-        c.domain
+        t.nvm_writes += 1;
+        c.dp.domain
             .device_mut()
             .write(c.layout.st_slot(slot), entry.to_block());
         fresh_tree.update(slot, entry.to_block());
@@ -244,8 +230,8 @@ fn recover_asit<B: NvmBackend>(
     }
     for slot in 0..st_slots {
         if !occupied[slot as usize] && !st_blocks[slot as usize].is_zeroed() {
-            t.writes += 1;
-            c.domain
+            t.nvm_writes += 1;
+            c.dp.domain
                 .device_mut()
                 .write(c.layout.st_slot(slot), anubis_nvm::Block::zeroed());
         }

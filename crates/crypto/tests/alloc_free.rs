@@ -5,10 +5,12 @@
 //!
 //! Uses a counting wrapper around the system allocator — installing it as
 //! the test binary's global allocator lets plain assertions observe every
-//! heap round-trip the measured region makes.
+//! heap round-trip the measured region makes. The count is per thread:
+//! the harness runs tests on parallel threads, and their allocations must
+//! not land in another test's measured region.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use anubis_crypto::otp::IvCounter;
 use anubis_crypto::{DataCodec, Key, MacCache};
@@ -16,11 +18,21 @@ use anubis_nvm::{Block, BlockAddr};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // A const-initialized `Cell` needs no lazy setup and no destructor, so
+    // touching it from inside the allocator never allocates itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread. `try_with` skips threads
+/// already tearing down their thread-locals.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -37,11 +49,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Counts heap allocations performed by `f`.
+/// Counts heap allocations `f` performs on the calling thread.
 fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 #[test]

@@ -23,14 +23,15 @@ use std::collections::{BTreeMap, HashMap};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64-bit checksum — the in-tree integrity check for WAL frames and
-/// snapshot images (no external dependencies).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// snapshot images (no external dependencies), and the one FNV-1a every
+/// other crate uses for checksums and fingerprints.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_seeded(FNV_OFFSET, bytes)
 }
 
 /// Continues an FNV-1a 64-bit stream from `seed`, so multi-part inputs
 /// (frame epoch ‖ payload) checksum without concatenating buffers.
-pub(crate) fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
     let mut h = seed;
     for &b in bytes {
         h ^= b as u64;

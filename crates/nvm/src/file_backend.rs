@@ -47,8 +47,10 @@ use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"ANUBWAL1";
 const VERSION: u32 = 2;
-const HEADER_BYTES: usize = 12;
-const FRAME_HEADER_BYTES: usize = 20;
+/// WAL image header bytes: magic ‖ version.
+pub const WAL_HEADER_BYTES: usize = 12;
+/// WAL frame header bytes: payload len u32 ‖ crc u64 ‖ epoch u64.
+pub const WAL_FRAME_HEADER_BYTES: usize = 20;
 
 const TAG_WRITE: u8 = 0;
 const TAG_REG: u8 = 1;
@@ -65,9 +67,60 @@ fn io_err(op: &str, path: &Path, e: std::io::Error) -> NvmError {
 }
 
 /// The checksum of one WAL frame: an FNV-1a stream over the frame epoch
-/// followed by the payload, so neither can be altered independently.
-fn frame_crc(epoch: u64, payload: &[u8]) -> u64 {
+/// followed by the payload, so neither can be altered independently. It
+/// is keyless — anyone can forge it, which is why the freshness anchor,
+/// not the checksum, carries the authority against tampering.
+pub fn frame_crc(epoch: u64, payload: &[u8]) -> u64 {
     fnv1a64_seeded(fnv1a64(&epoch.to_le_bytes()), payload)
+}
+
+/// One structurally complete frame of a WAL image.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WalFrame {
+    /// Byte offset of the frame header.
+    pub start: usize,
+    /// Total frame length (header + payload).
+    pub len: usize,
+    /// The frame's stored checksum (not verified by the walk).
+    pub crc: u64,
+    /// The frame's epoch field.
+    pub epoch: u64,
+}
+
+impl WalFrame {
+    /// Byte offset just past the frame.
+    pub fn end(&self) -> usize {
+        self.start + self.len
+    }
+
+    /// Byte offset of the frame's payload.
+    pub fn payload_start(&self) -> usize {
+        self.start + WAL_FRAME_HEADER_BYTES
+    }
+}
+
+/// Walks the structurally complete frames of a WAL image's bytes in log
+/// order, stopping at a torn tail (an incomplete header or a payload cut
+/// short). Checksums and epochs are reported, not checked.
+pub fn wal_frames(bytes: &[u8]) -> impl Iterator<Item = WalFrame> + '_ {
+    let mut pos = WAL_HEADER_BYTES;
+    std::iter::from_fn(move || {
+        let header = bytes.get(pos..pos.checked_add(WAL_FRAME_HEADER_BYTES)?)?;
+        let word = |at: usize| {
+            u64::from_le_bytes(header[at..at + 8].try_into().expect("slice is 8 bytes"))
+        };
+        let plen = u32::from_le_bytes(header[..4].try_into().expect("slice is 4 bytes")) as usize;
+        let len = WAL_FRAME_HEADER_BYTES.checked_add(plen)?;
+        let end = pos.checked_add(len).filter(|&e| e <= bytes.len())?;
+        let frame = WalFrame {
+            start: pos,
+            len,
+            crc: word(4),
+            epoch: word(12),
+        };
+        pos = end;
+        Some(frame)
+    })
 }
 
 /// A durable, write-ahead-logged file backend for [`crate::NvmDevice`].
@@ -175,9 +228,9 @@ impl FileBackend {
             file.write_all(&VERSION.to_le_bytes())
                 .map_err(|e| io_err("init", &path, e))?;
             file.sync_data().map_err(|e| io_err("sync", &path, e))?;
-            HEADER_BYTES
+            WAL_HEADER_BYTES
         } else {
-            if bytes.len() < HEADER_BYTES || &bytes[..8] != MAGIC {
+            if bytes.len() < WAL_HEADER_BYTES || &bytes[..8] != MAGIC {
                 return Err(NvmError::Backend {
                     reason: format!("{}: not an Anubis WAL image (bad magic)", path.display()),
                 });
@@ -191,35 +244,11 @@ impl FileBackend {
                     ),
                 });
             }
-            let mut pos = HEADER_BYTES;
-            while pos < bytes.len() {
-                if pos + FRAME_HEADER_BYTES > bytes.len() {
-                    rejected_frames += 1;
-                    break; // torn tail: incomplete frame header
-                }
-                let len = u32::from_le_bytes([
-                    bytes[pos],
-                    bytes[pos + 1],
-                    bytes[pos + 2],
-                    bytes[pos + 3],
-                ]) as usize;
-                let crc = u64::from_le_bytes(
-                    bytes[pos + 4..pos + 12]
-                        .try_into()
-                        .expect("slice is 8 bytes"),
-                );
-                let frame_epoch = u64::from_le_bytes(
-                    bytes[pos + 12..pos + 20]
-                        .try_into()
-                        .expect("slice is 8 bytes"),
-                );
-                let start = pos + FRAME_HEADER_BYTES;
-                let Some(end) = start.checked_add(len).filter(|&e| e <= bytes.len()) else {
-                    rejected_frames += 1;
-                    break; // torn tail: payload cut short by the kill
-                };
-                let payload = &bytes[start..end];
-                if frame_crc(frame_epoch, payload) != crc {
+            let mut pos = WAL_HEADER_BYTES;
+            for frame in wal_frames(&bytes) {
+                let frame_epoch = frame.epoch;
+                let payload = &bytes[frame.payload_start()..frame.end()];
+                if frame_crc(frame_epoch, payload) != frame.crc {
                     // A complete frame with a bad checksum is bit
                     // corruption, not a torn append.
                     return Err(NvmError::Backend {
@@ -243,7 +272,12 @@ impl FileBackend {
                 }
                 epoch = frame_epoch;
                 wal_records += replay_frame(&path, payload, &mut cache, &mut regs)?;
-                pos = end;
+                pos = frame.end();
+            }
+            if pos < bytes.len() {
+                // Torn tail: an incomplete frame header, or a payload cut
+                // short by the kill.
+                rejected_frames += 1;
             }
             pos
         };
@@ -387,7 +421,7 @@ impl FileBackend {
     /// healed on reopen) — never behind it.
     fn append_frame(&mut self, payload: &[u8]) -> Result<(), NvmError> {
         self.epoch += 1;
-        let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+        let mut frame = Vec::with_capacity(WAL_FRAME_HEADER_BYTES + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&frame_crc(self.epoch, payload).to_le_bytes());
         frame.extend_from_slice(&self.epoch.to_le_bytes());
@@ -705,6 +739,31 @@ mod tests {
     }
 
     #[test]
+    fn frame_walker_sees_complete_frames_only() {
+        let p = tmp("walk");
+        {
+            let mut b = FileBackend::open(&p).unwrap();
+            for i in 0..3u64 {
+                b.store(i, Block::filled(i as u8));
+                b.barrier().unwrap();
+            }
+        }
+        let bytes = std::fs::read(&p).unwrap();
+        let frames: Vec<WalFrame> = wal_frames(&bytes).collect();
+        assert_eq!(frames.len(), 3);
+        assert_eq!(frames[0].start, WAL_HEADER_BYTES);
+        assert_eq!(frames[2].end(), bytes.len());
+        for (i, f) in frames.iter().enumerate() {
+            assert_eq!(f.epoch, i as u64 + 1);
+            let payload = &bytes[f.payload_start()..f.end()];
+            assert_eq!(f.crc, frame_crc(f.epoch, payload));
+        }
+        // A torn tail ends the walk before the cut frame.
+        assert_eq!(wal_frames(&bytes[..bytes.len() - 1]).count(), 2);
+        cleanup(&p);
+    }
+
+    #[test]
     fn bit_flipped_frame_is_typed_corruption() {
         let p = tmp("flip");
         {
@@ -713,7 +772,7 @@ mod tests {
             b.barrier().unwrap();
         }
         let mut bytes = std::fs::read(&p).unwrap();
-        let mid = HEADER_BYTES + FRAME_HEADER_BYTES + 20;
+        let mid = WAL_HEADER_BYTES + WAL_FRAME_HEADER_BYTES + 20;
         bytes[mid] ^= 0x40;
         std::fs::write(&p, &bytes).unwrap();
         let err = FileBackend::open(&p).unwrap_err();
@@ -842,7 +901,7 @@ mod tests {
         }
         let mut bytes = std::fs::read(&p).unwrap();
         // Duplicate the last frame verbatim: checksum-valid, epoch stale.
-        let frame_len = FRAME_HEADER_BYTES + 73;
+        let frame_len = WAL_FRAME_HEADER_BYTES + 73;
         let last = bytes.len() - frame_len;
         let dup = bytes[last..].to_vec();
         bytes.extend_from_slice(&dup);
@@ -863,10 +922,10 @@ mod tests {
             b.barrier().unwrap();
         }
         let bytes = std::fs::read(&p).unwrap();
-        let frame_len = FRAME_HEADER_BYTES + 73;
-        let f1 = HEADER_BYTES;
-        let f2 = HEADER_BYTES + frame_len;
-        let mut swapped = bytes[..HEADER_BYTES].to_vec();
+        let frame_len = WAL_FRAME_HEADER_BYTES + 73;
+        let f1 = WAL_HEADER_BYTES;
+        let f2 = WAL_HEADER_BYTES + frame_len;
+        let mut swapped = bytes[..WAL_HEADER_BYTES].to_vec();
         swapped.extend_from_slice(&bytes[f2..f2 + frame_len]);
         swapped.extend_from_slice(&bytes[f1..f1 + frame_len]);
         std::fs::write(&p, &swapped).unwrap();
@@ -886,7 +945,7 @@ mod tests {
         let mut bytes = std::fs::read(&p).unwrap();
         // The epoch field is covered by the frame checksum: bumping it
         // without re-checksumming must be detected.
-        bytes[HEADER_BYTES + 12] ^= 0x01;
+        bytes[WAL_HEADER_BYTES + 12] ^= 0x01;
         std::fs::write(&p, &bytes).unwrap();
         let err = FileBackend::open(&p).unwrap_err();
         assert!(err.to_string().contains("checksum"), "got {err}");

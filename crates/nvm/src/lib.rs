@@ -55,13 +55,15 @@ mod wpq;
 
 pub use addr::{BlockAddr, Region, RegionAllocator, BLOCK_BYTES};
 pub use anchor::{anchor_path_for, AnchorError, AnchorPolicy, Freshness, FreshnessAnchor};
-pub use backend::{MemBackend, NvmBackend};
+pub use backend::{fnv1a64, fnv1a64_seeded, MemBackend, NvmBackend};
 pub use block::Block;
 pub use device::NvmDevice;
 pub use domain::{PersistenceDomain, WriteOp};
 pub use error::NvmError;
 pub use fault::{FaultKind, FaultPlan, FaultPlanError};
-pub use file_backend::FileBackend;
+pub use file_backend::{
+    frame_crc, wal_frames, FileBackend, WalFrame, WAL_FRAME_HEADER_BYTES, WAL_HEADER_BYTES,
+};
 pub use pregs::{CommitPhase, PersistentRegisters, PREG_CAPACITY};
 pub use quarantine::{QuarantineError, RemapTable};
 pub use rng::SplitMix64;

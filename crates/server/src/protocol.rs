@@ -36,17 +36,8 @@ pub const HEADER_BYTES: usize = 8;
 /// Checksum trailer bytes on the wire.
 pub const TRAILER_BYTES: usize = 8;
 
-/// FNV-1a over arbitrary bytes — the frame checksum (same constants as
-/// the NVM crate's WAL checksums; the protocol is an external observer,
-/// not part of the device image).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a over arbitrary bytes — the frame checksum.
+pub use anubis_nvm::fnv1a64;
 
 /// Hashes a session token for the handshake: tokens travel and are
 /// stored only as FNV-1a digests.

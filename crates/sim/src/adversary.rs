@@ -49,13 +49,16 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use anubis::{
-    AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, RecoveryError, RecoveryOutcome,
-    SgxController, SgxScheme, Supervised, Supervisor,
+    AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController, RecoveryError,
+    RecoveryOutcome, SgxController, SgxScheme, Supervised, Supervisor,
 };
-use anubis_nvm::{anchor_path_for, AnchorPolicy, FileBackend, FreshnessAnchor, NvmBackend};
+use anubis_nvm::{
+    anchor_path_for, fnv1a64, frame_crc, wal_frames, AnchorPolicy, FileBackend, FreshnessAnchor,
+    NvmBackend, WalFrame, WAL_FRAME_HEADER_BYTES, WAL_HEADER_BYTES,
+};
 
 use crate::drill::{
-    ack_expectations, drill_script, read_ack_log, AckExpectations, AckWriter, DrillError,
+    ack_expectations, drill_script, read_ack_log, xorshift, AckExpectations, AckWriter, DrillError,
     DrillFamily,
 };
 use crate::fault::op_payload;
@@ -65,14 +68,6 @@ const ACK_RECORD_BYTES: u64 = 24;
 
 /// How long the parent waits for a child before declaring it hung.
 const CHILD_TIMEOUT: Duration = Duration::from_secs(300);
-
-/// WAL image header bytes (magic + version) — the adversary is an
-/// external observer of the on-disk format, so the constants are
-/// duplicated from the NVM crate rather than exported by it.
-const WAL_HEADER_BYTES: usize = 12;
-
-/// WAL frame header bytes: payload len u32 | crc u64 | epoch u64.
-const FRAME_HEADER_BYTES: usize = 20;
 
 /// Acks the capture run stops short of the base run, so the captured
 /// image is strictly older than the base image's sealed anchor even
@@ -400,85 +395,6 @@ fn io_ctx<'a>(
         path: path.to_path_buf(),
         source,
     }
-}
-
-/// FNV-1a over arbitrary bytes (the WAL frame checksum primitive; the
-/// adversary knows the format, so it is duplicated here).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_seeded(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continues an FNV-1a stream from `seed`.
-fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The keyless WAL frame checksum: FNV-1a over epoch ‖ payload. The
-/// adversary can forge it — which is exactly why the anchor, not the
-/// checksum, carries the freshness authority.
-fn frame_crc(epoch: u64, payload: &[u8]) -> u64 {
-    fnv1a64_seeded(fnv1a64(&epoch.to_le_bytes()), payload)
-}
-
-/// xorshift64* — deterministic, dependency-free randomness.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// A complete WAL frame located in an image's byte stream.
-#[derive(Debug, Clone, Copy)]
-struct FrameLoc {
-    /// Byte offset of the frame header.
-    start: usize,
-    /// Total frame length (header + payload).
-    len: usize,
-    /// The frame's epoch field.
-    epoch: u64,
-}
-
-impl FrameLoc {
-    fn end(&self) -> usize {
-        self.start + self.len
-    }
-}
-
-/// Locates every *complete* frame in a WAL image (a torn tail is
-/// ignored, matching the backend's own open behavior).
-fn parse_frames(bytes: &[u8]) -> Vec<FrameLoc> {
-    let mut out = Vec::new();
-    let mut pos = WAL_HEADER_BYTES;
-    while pos + FRAME_HEADER_BYTES <= bytes.len() {
-        let plen = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        let Some(end) = pos.checked_add(FRAME_HEADER_BYTES + plen) else {
-            break;
-        };
-        if end > bytes.len() {
-            break;
-        }
-        let epoch = u64::from_le_bytes(
-            bytes[pos + 12..pos + 20]
-                .try_into()
-                .expect("sliced to 8 bytes"),
-        );
-        out.push(FrameLoc {
-            start: pos,
-            len: FRAME_HEADER_BYTES + plen,
-            epoch,
-        });
-        pos = end;
-    }
-    out
 }
 
 /// The byte-level operation one mutation performs on the staged copy.
@@ -869,7 +785,7 @@ fn stage_mutation(
         }
         MutationOp::DropTailFrames { frames } => {
             let bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            let locs = parse_frames(&bytes);
+            let locs: Vec<WalFrame> = wal_frames(&bytes).collect();
             if locs.len() < frames + 1 {
                 return Err(bad(
                     &spec.label,
@@ -881,7 +797,7 @@ fn stage_mutation(
         }
         MutationOp::SwapAdjacentFrames { draw } => {
             let bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            let locs = parse_frames(&bytes);
+            let locs: Vec<WalFrame> = wal_frames(&bytes).collect();
             if locs.len() < 2 {
                 return Err(bad(&spec.label, "fewer than two frames to swap".into()));
             }
@@ -896,7 +812,7 @@ fn stage_mutation(
         }
         MutationOp::DuplicateFrame { draw } => {
             let mut bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            let locs = parse_frames(&bytes);
+            let locs: Vec<WalFrame> = wal_frames(&bytes).collect();
             if locs.is_empty() {
                 return Err(bad(&spec.label, "no frames to duplicate".into()));
             }
@@ -907,15 +823,15 @@ fn stage_mutation(
         }
         MutationOp::SpliceReplay { draw } => {
             let mut bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            let locs = parse_frames(&bytes);
+            let locs: Vec<WalFrame> = wal_frames(&bytes).collect();
             let Some(last) = locs.last().copied() else {
                 return Err(bad(&spec.label, "no frames to splice".into()));
             };
             // Prefer a non-empty old frame so the replay carries records.
-            let donors: Vec<FrameLoc> = locs
+            let donors: Vec<WalFrame> = locs
                 .iter()
                 .copied()
-                .filter(|l| l.len > FRAME_HEADER_BYTES)
+                .filter(|l| l.len > WAL_FRAME_HEADER_BYTES)
                 .collect();
             if donors.is_empty() {
                 return Err(bad(
@@ -924,7 +840,7 @@ fn stage_mutation(
                 ));
             }
             let donor = donors[(draw % donors.len() as u64) as usize];
-            let payload = bytes[donor.start + FRAME_HEADER_BYTES..donor.end()].to_vec();
+            let payload = bytes[donor.payload_start()..donor.end()].to_vec();
             for step in 1..=2u64 {
                 let epoch = last.epoch + step;
                 bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -949,7 +865,7 @@ fn stage_mutation(
         }
         MutationOp::LagAnchorByOne => {
             let bytes = fs::read(&work).map_err(io_ctx("read image", &work))?;
-            let Some(last) = parse_frames(&bytes).last().copied() else {
+            let Some(last) = wal_frames(&bytes).last() else {
                 return Err(bad(&spec.label, "no frames; cannot derive epoch".into()));
             };
             if last.epoch == 0 {

@@ -40,7 +40,7 @@ use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemError, MemoryController,
     RecoveryError, SgxController, SgxScheme, Supervised, SupervisedRecovery, Supervisor,
 };
-use anubis_nvm::{Block, FileBackend, NvmBackend, NvmError};
+use anubis_nvm::{fnv1a64, fnv1a64_seeded, Block, FileBackend, NvmBackend, NvmError};
 
 use crate::fault::{op_payload, ScriptOp};
 
@@ -275,21 +275,9 @@ impl From<RecoveryError> for DrillError {
     }
 }
 
-/// FNV-1a over arbitrary bytes (same constants as the NVM crate's WAL
-/// checksums; duplicated here because the drill is an external observer
-/// of the image, not part of it).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Simple xorshift64* step — deterministic, dependency-free randomness
-/// for scripts and kill points.
-fn xorshift(state: &mut u64) -> u64 {
+/// for scripts and kill points (shared with the adversary campaign).
+pub(crate) fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
     x ^= x >> 7;
@@ -413,21 +401,15 @@ pub fn device_fingerprint<C: MemoryController>(ctrl: &C) -> u64 {
     entries.sort_by_key(|&(a, _)| a);
     let mut regs = backend.regs();
     regs.sort_by_key(|&(i, _)| i);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = fnv1a64(&[]);
     for (addr, block) in &entries {
-        mix(&addr.to_le_bytes());
-        mix(block.as_bytes());
+        h = fnv1a64_seeded(h, &addr.to_le_bytes());
+        h = fnv1a64_seeded(h, block.as_bytes());
     }
-    mix(b"|regs|");
+    h = fnv1a64_seeded(h, b"|regs|");
     for (idx, block) in &regs {
-        mix(&[*idx]);
-        mix(block.as_bytes());
+        h = fnv1a64_seeded(h, &[*idx]);
+        h = fnv1a64_seeded(h, block.as_bytes());
     }
     h
 }

@@ -256,6 +256,7 @@ fn stale_snapshot_restore_is_typed_and_counted() {
     let (reg, tel) = Telemetry::private();
     c.set_telemetry(tel);
     let err = c
+        .data_path_mut()
         .restore_snapshot(&snap)
         .expect_err("stale snapshot must be refused");
     assert!(
