@@ -3,8 +3,8 @@
 //! fresh address space, recover, and verify every acknowledged write.
 //!
 //! Emits `BENCH_drill.json` (override with `--out PATH`). Exit code 1 on
-//! any contract violation: an acknowledged write lost, a post-recovery
-//! fingerprint that differs across lane counts, or a recovery failure.
+//! any contract violation: an acknowledged write lost or a recovery
+//! failure.
 //!
 //! Knobs (all environment variables):
 //!
@@ -32,7 +32,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn family_json(r: &FamilyReport, lanes: &[usize]) -> Json {
+fn family_json(r: &FamilyReport) -> Json {
     let outcomes: Vec<Json> = r
         .outcomes
         .iter()
@@ -58,12 +58,7 @@ fn family_json(r: &FamilyReport, lanes: &[usize]) -> Json {
             "kill_range",
             Json::Arr(vec![Json::Int(r.kill_range.0), Json::Int(r.kill_range.1)]),
         ),
-        (
-            "lanes_verified",
-            Json::Arr(lanes.iter().map(|&l| Json::Int(l as u64)).collect()),
-        ),
         ("acked_write_losses", Json::Int(0)),
-        ("fingerprint_mismatches", Json::Int(0)),
         ("points_detail", Json::Arr(outcomes)),
     ])
 }
@@ -102,10 +97,9 @@ fn main() -> ExitCode {
 
     println!("== Anubis reproduction :: kill -9 restart drill ==");
     println!(
-        "{} kill points/family{}, seed {seed:#x}, lanes {:?}, scratch {}",
+        "{} kill points/family{}, seed {seed:#x}, scratch {}",
         points,
         if sweep { " (exhaustive sweep)" } else { "" },
-        spec.lanes,
         dir.display()
     );
 
@@ -126,7 +120,7 @@ fn main() -> ExitCode {
                 );
                 total_points += report.points;
                 total_acked += report.acked_total;
-                families.push(family_json(&report, &spec.lanes));
+                families.push(family_json(&report));
             }
             Err(e) => {
                 eprintln!("drill FAILED for {}: {e}", family.name());
@@ -142,10 +136,6 @@ fn main() -> ExitCode {
         ("sweep", Json::Bool(sweep)),
         ("script_len", Json::Int(spec.script_len as u64)),
         ("lines", Json::Int(spec.lines)),
-        (
-            "lanes",
-            Json::Arr(spec.lanes.iter().map(|&l| Json::Int(l as u64)).collect()),
-        ),
         ("total_kill_points", Json::Int(total_points)),
         ("total_acked_verified", Json::Int(total_acked)),
         ("acked_write_losses", Json::Int(0)),

@@ -1,23 +1,19 @@
 //! Machine-readable crash-storm benchmark: supervised recovery under
 //! randomized fault plans (power cuts, torn writes, bit flips — plus
-//! write cuts injected *during* recovery), per scheme at 1/2/8 lanes.
+//! write cuts injected *during* recovery), one campaign per scheme.
 //!
 //! Every run must terminate in a structured `RecoveryOutcome`; the
-//! campaign fingerprint digests every run's outcome and repair counts and
-//! must be bit-identical across lane counts. Emits
-//! `BENCH_recovery_degraded.json` (override with `--out PATH`). Exit code
-//! 1 if any lane count's fingerprint diverges from the serial one.
+//! campaign fingerprint digests every run's outcome and repair counts.
+//! Emits `BENCH_recovery_degraded.json` (override with `--out PATH`).
 //!
 //! `--smoke` / `ANUBIS_SMOKE=1` runs a reduced campaign; the full scale
 //! drives 170 randomized plans per scheme (6 schemes, >1000 plans total).
 
 use anubis::{AnubisConfig, BonsaiController, BonsaiScheme, SgxController, SgxScheme, Supervised};
 use anubis_bench::json::Json;
-use anubis_bench::{host_parallelism, out_path_from_args};
-use anubis_sim::{crash_storm, StormConfig, StormReport};
+use anubis_bench::out_path_from_args;
+use anubis_sim::{crash_storm, StormConfig};
 use std::time::Instant;
-
-const LANE_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke")
@@ -28,14 +24,9 @@ fn main() {
     let config = AnubisConfig::small_test().with_spare_blocks(256);
 
     println!("== Anubis reproduction :: degraded-mode recovery storm ==");
-    println!(
-        "{runs_per_scheme} randomized fault plans per scheme at lanes {LANE_COUNTS:?}, \
-         host parallelism {}",
-        host_parallelism()
-    );
+    println!("{runs_per_scheme} randomized fault plans per scheme");
 
     let telemetry = anubis_bench::telemetry::start();
-    let mut diverged = false;
     let mut plans_total = 0u64;
     let mut cases = Vec::new();
 
@@ -53,11 +44,10 @@ fn main() {
             ops: 24,
             addr_space: 256,
             seed,
-            lanes: 1,
             max_retries: 3,
             recovery_faults: true,
         };
-        let (case, ok) = match name {
+        let case = match name {
             "osiris" => storm_case(name, &storm, || {
                 BonsaiController::new(BonsaiScheme::Osiris, &config)
             }),
@@ -77,7 +67,6 @@ fn main() {
                 SgxController::new(SgxScheme::StrictPersist, &config)
             }),
         };
-        diverged |= !ok;
         plans_total += runs_per_scheme;
         cases.push(case);
     }
@@ -85,7 +74,6 @@ fn main() {
     let doc = Json::obj(vec![
         ("benchmark", Json::Str("recovery_degraded".into())),
         ("host", anubis_bench::host_info_json()),
-        ("host_parallelism", Json::Int(host_parallelism() as u64)),
         ("smoke", Json::Bool(smoke)),
         (
             "config",
@@ -103,55 +91,29 @@ fn main() {
     std::fs::write(&out, doc.render()).expect("write baseline json");
     println!("wrote {}", out.display());
     anubis_bench::telemetry::finish(&telemetry, &out, "bench_recovery_degraded");
-
-    if diverged {
-        eprintln!("FAIL: storm fingerprints diverged across lane counts");
-        std::process::exit(1);
-    }
-    println!("all lane counts produced bit-identical storm fingerprints");
 }
 
-/// Runs the same campaign at every lane count and checks the fingerprint
-/// against the serial (lanes = 1) one. Returns the case JSON and whether
-/// all lane counts agreed.
-fn storm_case<C, F>(name: &str, storm: &StormConfig, make: F) -> (Json, bool)
+/// Runs one scheme's campaign and renders its row.
+fn storm_case<C, F>(name: &str, storm: &StormConfig, make: F) -> Json
 where
     C: Supervised,
     F: Fn() -> C,
 {
-    let mut rows = Vec::new();
-    let mut serial_fingerprint = None;
-    let mut all_match = true;
-    for &lanes in &LANE_COUNTS {
-        let cfg = storm.clone().with_lanes(lanes);
-        let t0 = Instant::now();
-        let report = crash_storm(&make, &cfg);
-        let wall_ns = t0.elapsed().as_nanos() as f64;
-        let matches = *serial_fingerprint.get_or_insert(report.fingerprint) == report.fingerprint;
-        all_match &= matches;
-        println!(
-            "{name:>14} lanes={lanes}: {:>4} recovered / {:>3} degraded / {:>3} quarantined, \
-             {} lost lines, {} recovery faults, fp {:016x}{}",
-            report.recovered,
-            report.degraded,
-            report.quarantined,
-            report.lost_lines,
-            report.recovery_faults_injected,
-            report.fingerprint,
-            if matches { "" } else { "  ** DIVERGED **" }
-        );
-        rows.push(lane_json(lanes, wall_ns, &report, matches));
-    }
-    let case = Json::obj(vec![
-        ("scheme", Json::Str(name.into())),
-        ("lanes", Json::Arr(rows)),
-    ]);
-    (case, all_match)
-}
-
-fn lane_json(lanes: usize, wall_ns: f64, r: &StormReport, matches: bool) -> Json {
+    let t0 = Instant::now();
+    let r = crash_storm(&make, storm);
+    let wall_ns = t0.elapsed().as_nanos() as f64;
+    println!(
+        "{name:>14}: {:>4} recovered / {:>3} degraded / {:>3} quarantined, \
+         {} lost lines, {} recovery faults, fp {:016x}",
+        r.recovered,
+        r.degraded,
+        r.quarantined,
+        r.lost_lines,
+        r.recovery_faults_injected,
+        r.fingerprint,
+    );
     Json::obj(vec![
-        ("lanes", Json::Int(lanes as u64)),
+        ("scheme", Json::Str(name.into())),
         ("wall_ns", Json::Num(wall_ns)),
         ("runs", Json::Int(r.runs)),
         ("recovered", Json::Int(r.recovered)),
@@ -168,6 +130,5 @@ fn lane_json(lanes: usize, wall_ns: f64, r: &StormReport, matches: bool) -> Json
             Json::Int(r.recovery_faults_injected),
         ),
         ("fingerprint", Json::Str(format!("{:016x}", r.fingerprint))),
-        ("fingerprint_matches_serial", Json::Bool(matches)),
     ])
 }

@@ -350,19 +350,6 @@ impl<B: NvmBackend> BonsaiController<B> {
         self.dp.ecc_corrections
     }
 
-    /// Runs crash recovery with an explicit lane count. `lanes == 1` is
-    /// the serial path; any lane count produces a bit-identical
-    /// [`RecoveryReport`] and final NVM image (see [`crate::parallel`]).
-    /// [`MemoryController::recover`] resolves the lane count from
-    /// [`crate::parallel::recovery_lanes`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Same classes as [`MemoryController::recover`].
-    pub fn recover_with_lanes(&mut self, lanes: usize) -> Result<RecoveryReport, RecoveryError> {
-        recovery::recover(self, lanes)
-    }
-
     /// Commits the staged group with backend mirrors of the on-chip
     /// persistent registers, so a restart can restore them via
     /// [`BonsaiController::reopen`].
@@ -927,7 +914,7 @@ impl<B: NvmBackend> MemoryController for BonsaiController<B> {
     }
 
     fn recover(&mut self) -> Result<RecoveryReport, RecoveryError> {
-        recovery::recover(self, crate::parallel::recovery_lanes())
+        recovery::recover(self)
     }
 
     fn shutdown_flush(&mut self) -> Result<(), MemError> {

@@ -12,22 +12,16 @@
 //!   tracked counter blocks, recompute only the tracked tree nodes level
 //!   by level, then compare with the root register.
 //!
-//! The heavy sweeps (counter probing, per-level node rebuilds, shadow
-//! scans) fan out across recovery lanes (see [`crate::parallel`]): lanes
-//! compute over a shared read-only view of the device, the main thread
-//! applies the resulting writes in item order. Levels stay sequential
-//! bottom-up — parents hash their children's repaired contents — but
-//! nodes within a level are independent. Tallies are merged in item order
-//! and writes applied in item order, so the [`RecoveryReport`], the final
-//! NVM image and the device statistics are bit-identical to the serial
-//! path (`lanes == 1`) at any lane count.
+//! The sweeps (counter probing, per-level node rebuilds) first compute
+//! every item over a read-only view of the device, then apply the
+//! resulting writes in item order. Levels run bottom-up: parents hash
+//! their children's repaired contents.
 
 use super::{BonsaiController, BonsaiScheme, ReencLog};
 use crate::config::AnubisConfig;
 use crate::datapath::sealed_of;
 use crate::error::RecoveryError;
 use crate::layout::{BonsaiLayout, LINES_PER_COUNTER_BLOCK};
-use crate::parallel;
 use crate::recovery::RecoveryReport;
 use crate::shadow::ShadowAddrEntry;
 use crate::MemoryController;
@@ -38,10 +32,8 @@ use anubis_itree::NodeId;
 use anubis_nvm::{Block, BlockAddr, NvmBackend, NvmDevice};
 use std::collections::BTreeSet;
 
-/// Shared read-only view of the controller for recovery lanes. Lanes only
-/// *read* the device (access counting is atomic — see `NvmStats`); all
-/// writes are deferred to the main thread, which applies them in item
-/// order.
+/// Read-only view of the controller for the compute half of a sweep; all
+/// writes are deferred and applied in item order afterwards.
 pub(super) struct Ctx<'a, B: NvmBackend> {
     pub(super) dev: &'a NvmDevice<B>,
     pub(super) layout: &'a BonsaiLayout,
@@ -120,8 +112,8 @@ impl<'a, B: NvmBackend> Ctx<'a, B> {
     }
 }
 
-/// One lane's result for one counter block: the repaired block to write
-/// back (if anything moved) plus the work tally.
+/// The result for one counter block: the repaired block to write back
+/// (if anything moved) plus the work tally.
 pub(super) struct LeafFix {
     pub(super) write: Option<Block>,
     pub(super) tally: RecoveryReport,
@@ -129,7 +121,6 @@ pub(super) struct LeafFix {
 
 pub(super) fn recover<B: NvmBackend>(
     c: &mut BonsaiController<B>,
-    lanes: usize,
 ) -> Result<RecoveryReport, RecoveryError> {
     let tel = c.dp.telemetry.clone();
     let _recovery_span = tel.span("recovery", c.scheme_name());
@@ -161,13 +152,13 @@ pub(super) fn recover<B: NvmBackend>(
             // Counters as-is (write-through keeps them current; plain
             // write-back only recovers if nothing dirty was lost), whole
             // tree rebuilt, root compared.
-            rebuild_whole_tree(c, &mut t, false, lanes)?;
+            rebuild_whole_tree(c, &mut t, false)?;
         }
         BonsaiScheme::Osiris => {
-            rebuild_whole_tree(c, &mut t, true, lanes)?;
+            rebuild_whole_tree(c, &mut t, true)?;
         }
         BonsaiScheme::AgitRead | BonsaiScheme::AgitPlus => {
-            recover_agit(c, &mut t, reenc_leaf, lanes)?;
+            recover_agit(c, &mut t, reenc_leaf)?;
         }
     }
 
@@ -246,7 +237,7 @@ pub(super) fn complete_reencryption<B: NvmBackend>(
 
 /// Osiris-fixes every counter of one counter block against its data
 /// lines. Pure with respect to the device: the repaired block is returned
-/// for the main thread to write, so lanes can run this concurrently.
+/// for the caller to write.
 pub(super) fn probe_counter_block<B: NvmBackend>(
     ctx: &Ctx<'_, B>,
     leaf: NodeId,
@@ -299,7 +290,7 @@ pub(super) fn probe_counter_block<B: NvmBackend>(
 }
 
 /// Recomputes one interior node from its children in NVM. Pure: returns
-/// the rebuilt block for the main thread to write.
+/// the rebuilt block for the caller to write.
 pub(super) fn compute_interior_node<B: NvmBackend>(
     ctx: &Ctx<'_, B>,
     node: NodeId,
@@ -318,25 +309,24 @@ pub(super) fn compute_interior_node<B: NvmBackend>(
     (block, t)
 }
 
-/// Osiris-fixes the given counter blocks across recovery lanes, applying
-/// repairs in leaf order. On a probe failure the repairs of preceding
-/// leaves are still applied (matching the serial sweep's partial
-/// progress) before the error is returned.
+/// Osiris-fixes the given counter blocks, applying repairs in leaf
+/// order. On a probe failure the repairs of preceding leaves are still
+/// applied before the error is returned.
 fn fix_counter_blocks<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     t: &mut RecoveryReport,
     leaves: &[u64],
-    lanes: usize,
 ) -> Result<(), RecoveryError> {
     let tel = c.dp.telemetry.clone();
     let _phase = tel
         .span("recovery_phase", "osiris_probe")
         .items(leaves.len() as u64);
-    let results = {
+    let results: Vec<_> = {
         let ctx = Ctx::of(c);
-        parallel::map_slice_traced(lanes, leaves, &tel, "osiris_probe_lane", |&leaf| {
-            probe_counter_block(&ctx, NodeId::new(0, leaf))
-        })
+        leaves
+            .iter()
+            .map(|&leaf| probe_counter_block(&ctx, NodeId::new(0, leaf)))
+            .collect()
     };
     for (&leaf, result) in leaves.iter().zip(results) {
         let fix = match result {
@@ -357,27 +347,25 @@ fn fix_counter_blocks<B: NvmBackend>(
     Ok(())
 }
 
-/// Rebuilds the given nodes of one tree level across recovery lanes,
-/// writing the results in index order. The caller sequences levels
-/// bottom-up: a parent must hash its children's *repaired* contents, so
-/// the level boundary is a hard barrier (unlike ASIT ST verification,
-/// where nodes verify independently against parent counters).
+/// Rebuilds the given nodes of one tree level, writing the results in
+/// index order. The caller sequences levels bottom-up: a parent must hash
+/// its children's *repaired* contents.
 fn fix_node_level<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     t: &mut RecoveryReport,
     level: usize,
     indices: &[u64],
-    lanes: usize,
 ) {
     let tel = c.dp.telemetry.clone();
     let _phase = tel
         .span("recovery_phase", &format!("level_rebuild_{level}"))
         .items(indices.len() as u64);
-    let results = {
+    let results: Vec<_> = {
         let ctx = Ctx::of(c);
-        parallel::map_slice_traced(lanes, indices, &tel, "level_rebuild_lane", |&index| {
-            compute_interior_node(&ctx, NodeId::new(level, index))
-        })
+        indices
+            .iter()
+            .map(|&index| compute_interior_node(&ctx, NodeId::new(level, index)))
+            .collect()
     };
     for (&index, (block, tally)) in indices.iter().zip(results) {
         t.merge(&tally);
@@ -411,8 +399,7 @@ fn check_root<B: NvmBackend>(
 }
 
 /// Recomputes the ancestors of `leaf` from NVM, bottom-up (used after an
-/// interrupted re-encryption under strict persistence). A single path is
-/// a strict chain — nothing to parallelize.
+/// interrupted re-encryption under strict persistence).
 fn fix_path<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     leaf: NodeId,
@@ -436,16 +423,15 @@ fn rebuild_whole_tree<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     t: &mut RecoveryReport,
     probe_counters: bool,
-    lanes: usize,
 ) -> Result<(), RecoveryError> {
     let g = c.layout.geometry().clone();
     if probe_counters {
         let leaves: Vec<u64> = (0..g.num_leaves()).collect();
-        fix_counter_blocks(c, t, &leaves, lanes)?;
+        fix_counter_blocks(c, t, &leaves)?;
     }
     for level in 1..g.num_levels() {
         let indices: Vec<u64> = (0..g.nodes_at(level)).collect();
-        fix_node_level(c, t, level, &indices, lanes);
+        fix_node_level(c, t, level, &indices);
     }
     check_root(c, t)
 }
@@ -456,37 +442,22 @@ fn recover_agit<B: NvmBackend>(
     c: &mut BonsaiController<B>,
     t: &mut RecoveryReport,
     reenc_leaf: Option<NodeId>,
-    lanes: usize,
 ) -> Result<(), RecoveryError> {
     let g = c.layout.geometry().clone();
 
-    // Scan the SCT and SMT across lanes; slot reads are independent and
-    // the per-slot parse is pure. Merging into ordered sets in slot order
-    // yields the same sets as the serial scan.
+    // Scan the SCT and SMT, then merge the entries into ordered sets.
     let tel = c.dp.telemetry.clone();
     let (sct_entries, smt_entries) = {
         let _span = tel.span("recovery_phase", "shadow_scan");
         let ctx = Ctx::of(c);
-        let sct = parallel::map_range_traced(
-            lanes,
-            ctx.layout.sct_slots(),
-            &tel,
-            "shadow_scan_lane",
-            |slot| {
-                ShadowAddrEntry::from_block(&ctx.dev.read(ctx.layout.sct_slot(slot)))
-                    .map(|e| e.node())
-            },
-        );
-        let smt = parallel::map_range_traced(
-            lanes,
-            ctx.layout.smt_slots(),
-            &tel,
-            "shadow_scan_lane",
-            |slot| {
-                ShadowAddrEntry::from_block(&ctx.dev.read(ctx.layout.smt_slot(slot)))
-                    .map(|e| e.node())
-            },
-        );
+        let scan =
+            |slot: BlockAddr| ShadowAddrEntry::from_block(&ctx.dev.read(slot)).map(|e| e.node());
+        let sct: Vec<_> = (0..ctx.layout.sct_slots())
+            .map(|slot| scan(ctx.layout.sct_slot(slot)))
+            .collect();
+        let smt: Vec<_> = (0..ctx.layout.smt_slots())
+            .map(|slot| scan(ctx.layout.smt_slot(slot)))
+            .collect();
         (sct, smt)
     };
     t.nvm_reads += c.layout.sct_slots() + c.layout.smt_slots();
@@ -511,9 +482,9 @@ fn recover_agit<B: NvmBackend>(
         }
     }
 
-    // Phase 1: fix tracked counter blocks across lanes.
+    // Phase 1: fix tracked counter blocks.
     let leaves: Vec<u64> = tracked_counters.into_iter().collect();
-    fix_counter_blocks(c, t, &leaves, lanes)?;
+    fix_counter_blocks(c, t, &leaves)?;
 
     // Phase 2: fix tracked nodes level by level (order matters: upper
     // levels hash the already-repaired lower levels).
@@ -523,7 +494,7 @@ fn recover_agit<B: NvmBackend>(
             .filter(|(l, _)| *l == level)
             .map(|(_, i)| *i)
             .collect();
-        fix_node_level(c, t, level, &at_level, lanes);
+        fix_node_level(c, t, level, &at_level);
     }
 
     // Phase 3: root check.

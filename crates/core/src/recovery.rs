@@ -30,8 +30,8 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Adds the work counted in `other` (recovery lanes tally their items
-    /// separately; the main thread merges them in item order).
+    /// Adds the work counted in `other` (each swept item tallies its own
+    /// work; the sweep merges them in item order).
     pub(crate) fn merge(&mut self, other: &RecoveryReport) {
         self.nvm_reads += other.nvm_reads;
         self.nvm_writes += other.nvm_writes;

@@ -11,18 +11,15 @@
 //!   cache (dirty, so they lazily propagate), and verify every recovered
 //!   node's MAC against its parent counter.
 //!
-//! The ST scan, the per-entry splice reads and the MAC re-checks fan out
-//! across recovery lanes (see [`crate::parallel`]). Unlike the Bonsai
-//! rebuild, no level barriers are needed: each SGX node's MAC verifies
-//! against its *parent counter* — already current in the cache, the
-//! on-chip top node or NVM — not against sibling or child contents, so
-//! every recovered node verifies independently. Entries are processed in
-//! node-address order, making cache placement and the rewritten ST
-//! deterministic at any lane count (including 1).
+//! Unlike the Bonsai rebuild, no level ordering is needed: each SGX
+//! node's MAC verifies against its *parent counter* — already current in
+//! the cache, the on-chip top node or NVM — not against sibling or child
+//! contents, so every recovered node verifies independently. Entries are
+//! processed in node-address order, making cache placement and the
+//! rewritten ST deterministic.
 
 use super::{SgxController, SgxEntry, SgxScheme};
 use crate::error::RecoveryError;
-use crate::parallel;
 use crate::recovery::RecoveryReport;
 use crate::shadow::StEntry;
 use crate::shadow_tree::ShadowTree;
@@ -33,7 +30,6 @@ use std::collections::BTreeMap;
 
 pub(super) fn recover<B: NvmBackend>(
     c: &mut SgxController<B>,
-    lanes: usize,
 ) -> Result<RecoveryReport, RecoveryError> {
     let tel = c.dp.telemetry.clone();
     let _recovery_span = tel.span("recovery", c.scheme_name());
@@ -55,7 +51,7 @@ pub(super) fn recover<B: NvmBackend>(
                 });
             }
         }
-        SgxScheme::Asit => recover_asit(c, &mut t, lanes)?,
+        SgxScheme::Asit => recover_asit(c, &mut t)?,
     }
     tel.incr("recovery_runs_total", c.scheme_name(), 1);
     Ok(t)
@@ -65,19 +61,16 @@ pub(super) fn recover<B: NvmBackend>(
 fn recover_asit<B: NvmBackend>(
     c: &mut SgxController<B>,
     t: &mut RecoveryReport,
-    lanes: usize,
 ) -> Result<(), RecoveryError> {
     let tel = c.dp.telemetry.clone();
-    // Step 1: read the whole Shadow Table — independent slot reads, fanned
-    // out across lanes, collected in slot order.
+    // Step 1: read the whole Shadow Table in slot order.
     let st_slots = c.layout.st_slots();
-    let st_blocks = {
+    let st_blocks: Vec<_> = {
         let _span = tel.span("recovery_phase", "st_scan").items(st_slots);
         let dev = c.dp.domain.device();
-        let layout = &c.layout;
-        parallel::map_range_traced(lanes, st_slots, &tel, "st_scan_lane", |slot| {
-            dev.read(layout.st_slot(slot))
-        })
+        (0..st_slots)
+            .map(|slot| dev.read(c.layout.st_slot(slot)))
+            .collect()
     };
     t.nvm_reads += st_slots;
 
@@ -98,24 +91,19 @@ fn recover_asit<B: NvmBackend>(
     let entries = dedup_st_entries(c, &st_blocks);
 
     // Step 3: recover each tracked node: stale NVM MSBs + shadow LSBs,
-    // MAC replaced from the shadow entry. The stale reads and splices are
-    // independent per entry — lanes compute them, results land in address
-    // order; only the cache inserts stay serial.
+    // MAC replaced from the shadow entry, in address order.
     let splice_span = tel
         .span("recovery_phase", "splice")
         .items(entries.len() as u64);
     let recovered: Vec<(BlockAddr, SgxCounterNode)> = {
         let dev = c.dp.domain.device();
-        parallel::map_slice_traced(
-            lanes,
-            &entries,
-            &tel,
-            "splice_lane",
-            |&(addr, ref entry)| {
+        entries
+            .iter()
+            .map(|&(addr, ref entry)| {
                 let stale = SgxCounterNode::from_block(&dev.read(addr));
                 (addr, splice_node(&stale, entry, lsb_bits))
-            },
-        )
+            })
+            .collect()
     };
     t.nvm_reads += recovered.len() as u64;
     for (addr, node) in &recovered {
@@ -141,9 +129,8 @@ fn recover_asit<B: NvmBackend>(
 
     // Step 4: verify every recovered node's MAC against its parent
     // counter (recovered parent from the cache, the on-chip top node, or
-    // the — necessarily current — NVM copy). Each check is independent —
-    // parent counters are never *contents being repaired here* — so the
-    // lanes verify concurrently with no ordering barrier.
+    // the — necessarily current — NVM copy). Each check is independent:
+    // parent counters are never *contents being repaired here*.
     let g = c.layout.geometry().clone();
     let mac_span = tel
         .span("recovery_phase", "mac_verify")
@@ -155,12 +142,9 @@ fn recover_asit<B: NvmBackend>(
         let top = c.top;
         let mac_key = &c.mac_key;
         let geom = &g;
-        parallel::map_slice_traced(
-            lanes,
-            &recovered,
-            &tel,
-            "mac_verify_lane",
-            |&(addr, ref node)| {
+        recovered
+            .iter()
+            .map(|&(addr, ref node)| {
                 let id = layout.node_of_addr(addr).expect("validated above");
                 let mut extra_reads = 0u64;
                 let pc = match geom.parent(id) {
@@ -178,8 +162,8 @@ fn recover_asit<B: NvmBackend>(
                     }
                 };
                 (extra_reads, node.verify(mac_key, pc), addr)
-            },
-        )
+            })
+            .collect()
     };
     for (extra_reads, ok, addr) in verdicts {
         t.nvm_reads += extra_reads;

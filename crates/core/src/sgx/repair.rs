@@ -25,8 +25,6 @@
 use super::{recovery, SgxController, SgxScheme};
 use crate::error::RecoveryError;
 use crate::layout::{DataAddr, SgxLayout};
-use crate::parallel;
-use crate::recovery::RecoveryReport;
 use crate::shadow_tree::ShadowTree;
 use crate::supervisor::{RepairSummary, Supervised};
 use crate::MemoryController;
@@ -37,10 +35,6 @@ use anubis_nvm::{Block, NvmBackend, NvmDevice};
 use anubis_telemetry::Telemetry;
 
 impl<B: NvmBackend> Supervised for SgxController<B> {
-    fn fast_recover(&mut self, lanes: usize) -> Result<RecoveryReport, RecoveryError> {
-        self.recover_with_lanes(lanes)
-    }
-
     fn data_lines(&self) -> u64 {
         self.layout.data_blocks()
     }
@@ -58,23 +52,19 @@ impl<B: NvmBackend> Supervised for SgxController<B> {
             .quarantine_line(addr, IvCounter::monolithic(ctr), ctr != 0))
     }
 
-    fn targeted_repair(
-        &mut self,
-        err: &RecoveryError,
-        lanes: usize,
-    ) -> Result<RepairSummary, RecoveryError> {
+    fn targeted_repair(&mut self, err: &RecoveryError) -> Result<RepairSummary, RecoveryError> {
         let mut sum = RepairSummary::default();
         if self.scheme == SgxScheme::Asit
             && matches!(err, RecoveryError::ShadowCapacityExceeded { .. })
         {
-            sum.absorb(spill_splice(self, lanes));
+            sum.absorb(spill_splice(self));
         }
-        sum.absorb(degrade(self, lanes));
+        sum.absorb(degrade(self));
         Ok(sum)
     }
 
-    fn reconcile_metadata(&mut self, lanes: usize) -> Result<RepairSummary, RecoveryError> {
-        Ok(degrade(self, lanes))
+    fn reconcile_metadata(&mut self) -> Result<RepairSummary, RecoveryError> {
+        Ok(degrade(self))
     }
 
     fn persist_quarantine(&mut self) {
@@ -111,13 +101,13 @@ impl<B: NvmBackend> SgxController<B> {
 /// bypassing the cache: parents before children, each splice kept only if
 /// it MAC-verifies against its (already-spliced) parent counter. Entries
 /// that fail are left stale for the cascade.
-fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> RepairSummary {
+fn spill_splice<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
     let mut sum = RepairSummary::default();
-    let st_slots = c.layout.st_slots();
     let st_blocks: Vec<Block> = {
         let dev = c.dp.domain.device();
-        let layout = &c.layout;
-        parallel::map_range(lanes, st_slots, |slot| dev.read(layout.st_slot(slot)))
+        (0..c.layout.st_slots())
+            .map(|slot| dev.read(c.layout.st_slot(slot)))
+            .collect()
     };
     // Only splice from a table the on-chip root still vouches for.
     if ShadowTree::rebuild(c.config.key, st_blocks.clone()).root() != c.shadow_root {
@@ -165,7 +155,7 @@ fn stored_parent_counter<B: NvmBackend>(
 /// The shared degraded-mode path: flush whatever the cache still holds,
 /// run the verify-and-reseal cascade over the whole tree, and (ASIT)
 /// reset the Shadow Table to match the now-empty cache.
-fn degrade<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> RepairSummary {
+fn degrade<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
     // The ASIT flush path stages ST entries through the volatile shadow
     // tree; after a crash it is gone until recovery succeeds.
     if c.scheme == SgxScheme::Asit && c.shadow_tree.is_none() {
@@ -178,7 +168,7 @@ fn degrade<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> RepairSumma
     c.cache.invalidate_all();
     c.dp.discard_pending();
     c.pending_shadow_root = None;
-    let sum = verify_reseal_cascade(c, lanes);
+    let sum = verify_reseal_cascade(c);
     if c.scheme == SgxScheme::Asit {
         // ST invariant: entries exist only for resident nodes — none now.
         for slot in 0..c.layout.st_slots() {
@@ -195,11 +185,11 @@ fn degrade<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> RepairSumma
     sum
 }
 
-/// Walks every level below the on-chip top node, top-down. Lanes verify
+/// Walks every level below the on-chip top node, top-down, verifying
 /// each node's MAC against its parent counter (finalized by the level
 /// above); failures are re-sealed in place over their stored counters,
-/// applied serially in index order — bit-identical at any lane count.
-fn verify_reseal_cascade<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) -> RepairSummary {
+/// applied in index order.
+fn verify_reseal_cascade<B: NvmBackend>(c: &mut SgxController<B>) -> RepairSummary {
     let g = c.layout.geometry().clone();
     let mut sum = RepairSummary::default();
     let top_level = g.num_levels() - 1;
@@ -209,26 +199,28 @@ fn verify_reseal_cascade<B: NvmBackend>(c: &mut SgxController<B>, lanes: usize) 
             let layout = &c.layout;
             let mac_key = &c.mac_key;
             let top = c.top;
-            parallel::map_range(lanes, g.nodes_at(level), |index| {
-                let node = NodeId::new(level, index);
-                let raw = dev.read(layout.node_addr(node));
-                let pc = stored_parent_counter(dev, layout, &top, node);
-                let mut val = if raw.is_zeroed() {
-                    if pc == 0 {
-                        // Canonical zero state verifies implicitly.
-                        return None;
+            (0..g.nodes_at(level))
+                .map(|index| {
+                    let node = NodeId::new(level, index);
+                    let raw = dev.read(layout.node_addr(node));
+                    let pc = stored_parent_counter(dev, layout, &top, node);
+                    let mut val = if raw.is_zeroed() {
+                        if pc == 0 {
+                            // Canonical zero state verifies implicitly.
+                            return None;
+                        }
+                        SgxCounterNode::new()
+                    } else {
+                        SgxCounterNode::from_block(&raw)
+                    };
+                    if val.verify(mac_key, pc) {
+                        None
+                    } else {
+                        val.seal(mac_key, pc);
+                        Some(val.to_block())
                     }
-                    SgxCounterNode::new()
-                } else {
-                    SgxCounterNode::from_block(&raw)
-                };
-                if val.verify(mac_key, pc) {
-                    None
-                } else {
-                    val.seal(mac_key, pc);
-                    Some(val.to_block())
-                }
-            })
+                })
+                .collect()
         };
         for (index, fix) in fixes.into_iter().enumerate() {
             if let Some(block) = fix {

@@ -6,8 +6,8 @@
 //! a slower path could still restore, or at least bound, the damage. The
 //! supervisor drives a [`Supervised`] controller through four rungs:
 //!
-//! 1. **Fast** — the scheme's shadow-assisted recovery (AGIT SCT/SMT
-//!    scan or ASIT ST splice), exactly as `recover()` runs it today.
+//! 1. **Fast** — the scheme's own `MemoryController::recover` (AGIT
+//!    SCT/SMT scan or ASIT ST splice).
 //! 2. **Retry** — bounded re-runs with exponential backoff accounted in
 //!    *simulated* nanoseconds, for transiently correctable media errors
 //!    (each retry re-reads and ECC-corrects through the normal path).
@@ -22,23 +22,15 @@
 //!
 //! The ladder always terminates in a structured [`RecoveryOutcome`]
 //! (`Recovered`, `Degraded`, or `Quarantined`) unless the scheme is
-//! structurally unable to recover at all (`SchemeCannotRecover`), and is
-//! deterministic across recovery lane counts: parallel stages only
-//! compute, writes are applied in item order on the supervising thread.
+//! structurally unable to recover at all (`SchemeCannotRecover`).
 
 use crate::error::RecoveryError;
 use crate::layout::DataAddr;
-use crate::parallel;
 use crate::recovery::RecoveryReport;
 use crate::MemoryController;
 use anubis_telemetry::Telemetry;
 
-/// Environment override for the rung-2 retry budget (default
-/// [`DEFAULT_MAX_RETRIES`]). Part of the `ANUBIS_*` knob family
-/// documented in the README.
-pub const MAX_RETRIES_ENV: &str = "ANUBIS_MAX_RETRIES";
-
-/// Rung-2 retry budget when [`MAX_RETRIES_ENV`] is unset.
+/// Rung-2 retry budget of [`Supervisor::new`].
 pub const DEFAULT_MAX_RETRIES: u32 = 3;
 
 /// Simulated backoff before the first retry; doubles per attempt.
@@ -137,15 +129,11 @@ impl RepairSummary {
 /// The per-scheme hooks the supervisor drives. Implemented by
 /// [`crate::BonsaiController`] and [`crate::SgxController`] (in their
 /// `repair` submodules, which have access to controller internals).
+///
+/// Rung 1 is the scheme's own [`MemoryController::recover`]; its
+/// [`RecoveryError`] reaches the supervisor untouched, which decides
+/// whether to retry or escalate.
 pub trait Supervised: MemoryController {
-    /// Rung 1: the scheme's fast shadow-assisted recovery.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the scheme's [`RecoveryError`] untouched; the
-    /// supervisor decides whether to retry or escalate.
-    fn fast_recover(&mut self, lanes: usize) -> Result<RecoveryReport, RecoveryError>;
-
     /// Number of data lines the scrub pass must walk.
     fn data_lines(&self) -> u64;
 
@@ -173,11 +161,7 @@ pub trait Supervised: MemoryController {
     /// # Errors
     ///
     /// Fails only when the scheme has no slower path for `err`.
-    fn targeted_repair(
-        &mut self,
-        err: &RecoveryError,
-        lanes: usize,
-    ) -> Result<RepairSummary, RecoveryError>;
+    fn targeted_repair(&mut self, err: &RecoveryError) -> Result<RepairSummary, RecoveryError>;
 
     /// Restores metadata self-consistency after per-line repairs and
     /// quarantines (tree digests recomputed, caches invalidated).
@@ -185,7 +169,7 @@ pub trait Supervised: MemoryController {
     /// # Errors
     ///
     /// Propagates reconstruction failures.
-    fn reconcile_metadata(&mut self, lanes: usize) -> Result<RepairSummary, RecoveryError>;
+    fn reconcile_metadata(&mut self) -> Result<RepairSummary, RecoveryError>;
 
     /// Persists the bad-block remap table into the `qtable` region.
     fn persist_quarantine(&mut self);
@@ -200,27 +184,18 @@ pub trait Supervised: MemoryController {
 /// Drives a [`Supervised`] controller through the escalation ladder.
 #[derive(Clone, Debug)]
 pub struct Supervisor {
-    lanes: usize,
     max_retries: u32,
     scrub: bool,
 }
 
 impl Supervisor {
-    /// A supervisor with the environment's lane count
-    /// (`ANUBIS_RECOVERY_THREADS`), the environment's retry budget
-    /// (`ANUBIS_MAX_RETRIES`, default 3), and the scrub pass enabled.
+    /// A supervisor with a retry budget of [`DEFAULT_MAX_RETRIES`] and
+    /// the scrub pass enabled.
     pub fn new() -> Self {
         Supervisor {
-            lanes: parallel::recovery_lanes(),
-            max_retries: max_retries_from_env(),
+            max_retries: DEFAULT_MAX_RETRIES,
             scrub: true,
         }
-    }
-
-    /// Overrides the recovery lane count.
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.clamp(1, parallel::MAX_LANES);
-        self
     }
 
     /// Overrides the rung-2 retry budget.
@@ -236,11 +211,6 @@ impl Supervisor {
     pub fn with_scrub(mut self, scrub: bool) -> Self {
         self.scrub = scrub;
         self
-    }
-
-    /// The configured lane count.
-    pub fn lanes(&self) -> usize {
-        self.lanes
     }
 
     /// The configured retry budget.
@@ -278,7 +248,7 @@ impl Supervisor {
         // Rung 1: fast shadow-assisted recovery.
         let first_err = {
             let _g = tel.span("supervisor_rung", "fast");
-            match ctrl.fast_recover(self.lanes) {
+            match ctrl.recover() {
                 Ok(r) => {
                     out.report = r;
                     None
@@ -299,7 +269,7 @@ impl Supervisor {
                 tel.incr("supervisor_retries_total", scheme, 1);
                 ctrl.crash();
                 let _g = tel.span("supervisor_rung", "retry");
-                match ctrl.fast_recover(self.lanes) {
+                match ctrl.recover() {
                     Ok(r) => {
                         out.report = r;
                         fast_ok = true;
@@ -315,7 +285,7 @@ impl Supervisor {
                 out.escalations += 1;
                 tel.incr("supervisor_escalations_total", scheme, 1);
                 let _g = tel.span("supervisor_rung", "targeted");
-                let sum = ctrl.targeted_repair(&last, self.lanes)?;
+                let sum = ctrl.targeted_repair(&last)?;
                 self.absorb(&mut out, sum, &tel, scheme);
             }
         }
@@ -367,7 +337,7 @@ impl Supervisor {
         tel.incr("supervisor_escalations_total", scheme, 1);
         let pre = {
             let _g = tel.span("supervisor_rung", "targeted");
-            ctrl.targeted_repair(err, self.lanes)?
+            ctrl.targeted_repair(err)?
         };
         let mut out = self.recover(ctrl)?;
         out.escalations += 1;
@@ -441,8 +411,7 @@ impl Supervisor {
             .items(ctrl.data_lines());
         let mut did_targeted = out.escalations > 0;
         for pass in 1..=MAX_SCRUB_PASSES {
-            // Serial scan: reads mutate caches, and serial order keeps
-            // the pass bit-identical across lane counts.
+            // Reads mutate caches, so the scan runs in address order.
             let mut failures: Vec<DataAddr> = Vec::new();
             for i in 0..ctrl.data_lines() {
                 let addr = DataAddr::new(i);
@@ -461,7 +430,7 @@ impl Supervisor {
                 out.escalations += 1;
                 tel.incr("supervisor_escalations_total", scheme, 1);
                 let hint = RecoveryError::ScrubFailed { addr: failures[0] };
-                if let Ok(sum) = ctrl.targeted_repair(&hint, self.lanes) {
+                if let Ok(sum) = ctrl.targeted_repair(&hint) {
                     self.absorb(out, sum, tel, scheme);
                     continue;
                 }
@@ -483,7 +452,7 @@ impl Supervisor {
                     }
                 }
             }
-            let rec = ctrl.reconcile_metadata(self.lanes)?;
+            let rec = ctrl.reconcile_metadata()?;
             sum.absorb(rec);
             self.absorb(out, sum, tel, scheme);
         }
@@ -530,13 +499,6 @@ fn is_structural(err: &RecoveryError) -> bool {
     )
 }
 
-fn max_retries_from_env() -> u32 {
-    std::env::var(MAX_RETRIES_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_MAX_RETRIES)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,11 +542,8 @@ mod tests {
 
     #[test]
     fn supervisor_builders() {
-        let s = Supervisor::new()
-            .with_lanes(2)
-            .with_max_retries(5)
-            .with_scrub(false);
-        assert_eq!(s.lanes(), 2);
+        assert_eq!(Supervisor::new().max_retries(), DEFAULT_MAX_RETRIES);
+        let s = Supervisor::new().with_max_retries(5).with_scrub(false);
         assert_eq!(s.max_retries(), 5);
     }
 }

@@ -91,8 +91,8 @@ impl DataCodec {
     }
 
     /// Seals a batch of blocks in input order, writing into a caller-owned
-    /// buffer — the bulk path for commit groups, re-encryption sweeps and
-    /// parallel recovery lanes. The whole group runs under the one
+    /// buffer — the bulk path for commit groups and re-encryption sweeps.
+    /// The whole group runs under the one
     /// precomputed key schedule with fused per-item pad generation, and a
     /// reused `out` makes the steady state allocation-free. Bit-identical
     /// to calling [`seal`](Self::seal) per element.

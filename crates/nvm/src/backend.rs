@@ -43,8 +43,8 @@ pub fn fnv1a64_seeded(seed: u64, bytes: &[u8]) -> u64 {
 /// Storage abstraction behind [`NvmDevice`](crate::NvmDevice).
 ///
 /// Implementations own the sparse block map plus the persistent register
-/// file. The `Send + Sync` supertraits let recovery lanes share a device
-/// reference across threads.
+/// file. The `Send + Sync` supertraits let a device move between and be
+/// shared across threads.
 ///
 /// # Durability contract
 ///

@@ -45,12 +45,10 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
 
 use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemoryController, RecoveryError,
-    RecoveryOutcome, SgxController, SgxScheme, Supervised, Supervisor,
+    RecoveryOutcome, SgxController, SgxScheme, Supervised,
 };
 use anubis_nvm::{
     anchor_path_for, fnv1a64, frame_crc, wal_frames, AnchorPolicy, FileBackend, FreshnessAnchor,
@@ -58,16 +56,10 @@ use anubis_nvm::{
 };
 
 use crate::drill::{
-    ack_expectations, drill_script, read_ack_log, xorshift, AckExpectations, AckWriter, DrillError,
-    DrillFamily,
+    ack_expectations, drill_script, read_ack_log, recover_reopened, serve_child, xorshift,
+    AckExpectations, DrillError, DrillFamily, DrillSpec,
 };
 use crate::fault::op_payload;
-
-/// Bytes per ack record (same format as the drill's ack log).
-const ACK_RECORD_BYTES: u64 = 24;
-
-/// How long the parent waits for a child before declaring it hung.
-const CHILD_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// Acks the capture run stops short of the base run, so the captured
 /// image is strictly older than the base image's sealed anchor even
@@ -599,10 +591,10 @@ struct DeadRun {
     acked: Vec<(u64, u64)>,
 }
 
-/// Spawns the child (`exe --child family image ack len lines seed`),
-/// SIGKILLs it once `kill_after` acks are durable, and returns the dead
-/// artifacts. The child must not finish: `kill_after` stays below the
-/// script's total writes.
+/// Kills the child (see [`crate::drill::run_killed_child`]) once
+/// `kill_after` acks are durable and returns the dead artifacts. The
+/// child must not finish: `kill_after` stays below the script's total
+/// writes, so a clean exit means the child failed early.
 fn run_killed_child(
     exe: &Path,
     family: DrillFamily,
@@ -610,47 +602,15 @@ fn run_killed_child(
     dir: &Path,
     kill_after: u64,
 ) -> Result<DeadRun, AdversaryError> {
-    fs::create_dir_all(dir).map_err(io_ctx("create scratch dir", dir))?;
-    let image = dir.join("image.wal");
-    let ack = dir.join("acks.bin");
-    for stale in [&image, &ack, &anchor_path_for(&image)] {
-        let _ = fs::remove_file(stale);
-    }
-    let mut child = Command::new(exe)
-        .arg("--child")
-        .arg(family.name())
-        .arg(&image)
-        .arg(&ack)
-        .arg(spec.script_len.to_string())
-        .arg(spec.lines.to_string())
-        .arg(spec.seed.to_string())
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .spawn()
-        .map_err(io_ctx("spawn child", exe))?;
-
-    let started = Instant::now();
-    let threshold = kill_after.saturating_mul(ACK_RECORD_BYTES);
-    loop {
-        if let Some(status) = child.try_wait().map_err(io_ctx("poll child", exe))? {
-            // The kill thresholds are capped below the script's write
-            // count, so a clean exit means the child failed early.
-            return Err(AdversaryError::Child(DrillError::Child {
-                code: status.code().filter(|_| !status.success()),
-            }));
-        }
-        let acked_bytes = fs::metadata(&ack).map(|m| m.len()).unwrap_or(0);
-        if acked_bytes >= threshold {
-            child.kill().map_err(io_ctx("kill child", exe))?;
-            child.wait().map_err(io_ctx("wait for child", exe))?;
-            break;
-        }
-        if started.elapsed() > CHILD_TIMEOUT {
-            child.kill().map_err(io_ctx("kill child", exe))?;
-            child.wait().map_err(io_ctx("wait for child", exe))?;
-            return Err(AdversaryError::Child(DrillError::Hung));
-        }
-        std::thread::sleep(Duration::from_micros(200));
+    let drill = DrillSpec {
+        script_len: spec.script_len,
+        lines: spec.lines,
+        seed: spec.seed,
+    };
+    let (image, ack, completed) =
+        crate::drill::run_killed_child(exe, family, &drill, dir, kill_after)?;
+    if completed {
+        return Err(AdversaryError::Child(DrillError::Child { code: None }));
     }
     let acked = read_ack_log(&ack).map_err(io_ctx("read ack log", &ack))?;
     let anchor = anchor_path_for(&image);
@@ -703,12 +663,8 @@ fn foreign_writes<C: Supervised>(
     hint: Option<RecoveryError>,
     spec: &AdversarySpec,
 ) -> Result<(), AdversaryError> {
-    let sup = Supervisor::new().with_lanes(1);
-    let res = match hint {
-        Some(ref e) => sup.repair_then_recover(ctrl, e),
-        None => sup.recover(ctrl),
-    };
-    res.map_err(|e| AdversaryError::Child(DrillError::Recovery(e)))?;
+    recover_reopened(ctrl, hint.as_ref())
+        .map_err(|e| AdversaryError::Child(DrillError::Recovery(e)))?;
     for i in 0..8u64 {
         let addr = i % spec.lines.max(1);
         ctrl.write(DataAddr::new(addr), op_payload(0xF0_0000 + i, addr))
@@ -930,12 +886,7 @@ fn verdict_for<C: Supervised>(
     expected: &AckExpectations,
     inflight: Option<(u64, u64)>,
 ) -> Result<Verdict, EvalFailure> {
-    let sup = Supervisor::new().with_lanes(1);
-    let rec = match hint {
-        Some(ref e) => sup.repair_then_recover(&mut ctrl, e),
-        None => sup.recover(&mut ctrl),
-    };
-    let rec = match rec {
+    let rec = match recover_reopened(&mut ctrl, hint.as_ref()) {
         Ok(r) => r,
         Err(e) => {
             return Ok(Verdict::Refused {
@@ -1204,90 +1155,16 @@ fn run_base_point(
     Ok(())
 }
 
-/// The serve loop for the anchored child: recover, then play the script
-/// appending fsynced ack records — identical to the drill's child except
-/// that the image is opened under the freshness anchor.
-fn serve<C: Supervised>(
-    mut ctrl: C,
-    hint: Option<RecoveryError>,
-    ack: &Path,
-    script: &[(bool, u64)],
-) -> Result<(), DrillError> {
-    let sup = Supervisor::new().with_lanes(1);
-    let res = match hint {
-        Some(ref e) => sup.repair_then_recover(&mut ctrl, e),
-        None => sup.recover(&mut ctrl),
-    };
-    res.map_err(DrillError::Recovery)?;
-    let mut log = AckWriter::create(ack).map_err(|source| DrillError::Io {
-        op: "create ack log",
-        path: ack.to_path_buf(),
-        source,
-    })?;
-    for (i, &(is_write, addr)) in script.iter().enumerate() {
-        if is_write {
-            ctrl.write(DataAddr::new(addr), op_payload(i as u64, addr))
-                .map_err(|err| DrillError::Serve {
-                    op_index: i as u64,
-                    err,
-                })?;
-            log.append(i as u64, addr)
-                .map_err(|source| DrillError::Io {
-                    op: "append ack record to",
-                    path: ack.to_path_buf(),
-                    source,
-                })?;
-        } else {
-            ctrl.read(DataAddr::new(addr))
-                .map_err(|err| DrillError::Serve {
-                    op_index: i as u64,
-                    err,
-                })?;
-        }
-    }
-    Ok(())
-}
-
 /// Child-process entry point; `args` is the tail of the command line
-/// after `--child`: `family image ack script_len lines seed`. Unlike
-/// the plain drill child, the image is opened under the freshness
-/// anchor with the strict policy.
+/// after `--child`: `family image ack script_len lines seed`. The serve
+/// loop is the drill's ([`crate::drill::child_main`]); only the image is
+/// opened under the freshness anchor with the strict policy.
 ///
 /// # Errors
 ///
 /// Any [`DrillError`] from opening, recovering, or serving.
 pub fn child_main(args: &[String]) -> Result<(), DrillError> {
-    let bad = |what: &'static str| DrillError::BadChildArg { what };
-    let family = args
-        .first()
-        .and_then(|s| DrillFamily::parse(s))
-        .ok_or_else(|| bad("family"))?;
-    let image = PathBuf::from(args.get(1).ok_or_else(|| bad("image path"))?);
-    let ack = PathBuf::from(args.get(2).ok_or_else(|| bad("ack path"))?);
-    let script_len: usize = args
-        .get(3)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("script len"))?;
-    let lines: u64 = args
-        .get(4)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("lines"))?;
-    let seed: u64 = args
-        .get(5)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("seed"))?;
-    let script = drill_script(script_len, lines, seed);
-    let config = AnubisConfig::small_test();
-    let backend = FileBackend::open_with_anchor(&image, config.key.0, AnchorPolicy::Strict)
-        .map_err(DrillError::Nvm)?;
-    match family {
-        DrillFamily::BonsaiAgitPlus => {
-            let (ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &config, backend);
-            serve(ctrl, hint, &ack, &script)
-        }
-        DrillFamily::SgxAsit => {
-            let (ctrl, hint) = SgxController::reopen(SgxScheme::Asit, &config, backend);
-            serve(ctrl, hint, &ack, &script)
-        }
-    }
+    serve_child(args, |image, config| {
+        FileBackend::open_with_anchor(image, config.key.0, AnchorPolicy::Strict)
+    })
 }

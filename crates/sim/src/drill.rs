@@ -24,10 +24,10 @@
 //! address may read either its old acknowledged payload or the in-flight
 //! one. Everything else must match the ack log exactly.
 //!
-//! Verification re-runs at several recovery lane counts and demands a
-//! bit-identical post-recovery device fingerprint at every count — the
-//! determinism contract of [`anubis::parallel`], now checked across a
-//! real process restart.
+//! The child command line, its serve loop and the parent's spawn/poll/kill
+//! loop are shared with the adversary campaign in [`crate::adversary`],
+//! whose child differs only in opening the image under the freshness
+//! anchor.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -40,7 +40,9 @@ use anubis::{
     AnubisConfig, BonsaiController, BonsaiScheme, DataAddr, MemError, MemoryController,
     RecoveryError, SgxController, SgxScheme, Supervised, SupervisedRecovery, Supervisor,
 };
-use anubis_nvm::{fnv1a64, fnv1a64_seeded, Block, FileBackend, NvmBackend, NvmError};
+use anubis_nvm::{
+    anchor_path_for, fnv1a64, fnv1a64_seeded, Block, FileBackend, NvmBackend, NvmError,
+};
 
 use crate::fault::{op_payload, ScriptOp};
 
@@ -93,9 +95,6 @@ pub struct DrillSpec {
     pub lines: u64,
     /// Seed for the script and for the kill-point sequence.
     pub seed: u64,
-    /// Recovery lane counts verified per kill point; fingerprints must
-    /// agree across all of them.
-    pub lanes: Vec<usize>,
 }
 
 impl Default for DrillSpec {
@@ -104,7 +103,6 @@ impl Default for DrillSpec {
             script_len: 1_200,
             lines: 300,
             seed: 0xA17B_05E7,
-            lanes: vec![1, 2, 8],
         }
     }
 }
@@ -146,8 +144,6 @@ pub enum DrillError {
         addr: u64,
         /// The script index of the last acknowledged write to it.
         op_index: u64,
-        /// Lane count of the verification run that caught it.
-        lanes: usize,
     },
     /// A read of an acknowledged address errored after recovery.
     AckedReadFailed {
@@ -155,15 +151,6 @@ pub enum DrillError {
         addr: u64,
         /// The controller error.
         err: MemError,
-    },
-    /// Two lane counts produced different post-recovery device images.
-    FingerprintMismatch {
-        /// Fingerprint at one lane count.
-        got: u64,
-        /// Fingerprint at the reference (first) lane count.
-        want: u64,
-        /// The lane count that diverged.
-        lanes: usize,
     },
     /// An unexpected controller error inside the child serve loop,
     /// reported with its script position.
@@ -207,24 +194,15 @@ impl std::fmt::Display for DrillError {
             }
             DrillError::Hung => write!(f, "child made no progress before timeout"),
             DrillError::Recovery(e) => write!(f, "post-restart recovery failed: {e}"),
-            DrillError::AckedWriteLost {
-                addr,
-                op_index,
-                lanes,
-            } => write!(
-                f,
-                "acknowledged write lost: addr {addr} (op {op_index}) at {lanes} lanes"
-            ),
+            DrillError::AckedWriteLost { addr, op_index } => {
+                write!(f, "acknowledged write lost: addr {addr} (op {op_index})")
+            }
             DrillError::AckedReadFailed { addr, err } => {
                 write!(
                     f,
                     "post-recovery read of acknowledged addr {addr} failed: {err}"
                 )
             }
-            DrillError::FingerprintMismatch { got, want, lanes } => write!(
-                f,
-                "post-recovery fingerprint {got:#018x} at {lanes} lanes differs from {want:#018x}"
-            ),
             DrillError::Serve { op_index, err } => {
                 write!(f, "child serve loop failed at op {op_index}: {err}")
             }
@@ -380,12 +358,11 @@ pub fn read_ack_log(path: &Path) -> std::io::Result<Vec<(u64, u64)>> {
 /// recovery: straight up the ladder normally, entering at rung 3 via
 /// [`Supervisor::repair_then_recover`] when reopen surfaced a typed
 /// corruption hint (e.g. an unparseable persisted quarantine table).
-fn recover_reopened<C: Supervised>(
+pub(crate) fn recover_reopened<C: Supervised>(
     ctrl: &mut C,
     hint: Option<&RecoveryError>,
-    lanes: usize,
 ) -> Result<SupervisedRecovery, RecoveryError> {
-    let sup = Supervisor::new().with_lanes(lanes);
+    let sup = Supervisor::new();
     match hint {
         Some(err) => sup.repair_then_recover(ctrl, err),
         None => sup.recover(ctrl),
@@ -422,7 +399,7 @@ fn serve<C: Supervised>(
     ack: &Path,
     script: &[ScriptOp],
 ) -> Result<(), DrillError> {
-    recover_reopened(&mut ctrl, hint.as_ref(), 1)?;
+    recover_reopened(&mut ctrl, hint.as_ref())?;
     let mut log = AckWriter::create(ack).map_err(io_ctx("create ack log", ack))?;
     for (i, &(is_write, addr)) in script.iter().enumerate() {
         if is_write {
@@ -452,6 +429,16 @@ fn serve<C: Supervised>(
 /// Any [`DrillError`] from opening the image, recovering, or serving;
 /// [`DrillError::BadChildArg`] for a malformed command line.
 pub fn child_main(args: &[String]) -> Result<(), DrillError> {
+    serve_child(args, |image, _| FileBackend::open(image))
+}
+
+/// Parses the child command line, opens the image with `open`, reopens
+/// the family's controller over it and runs the serve loop. The drill
+/// and the adversary children differ only in `open`.
+pub(crate) fn serve_child(
+    args: &[String],
+    open: impl FnOnce(&Path, &AnubisConfig) -> Result<FileBackend, NvmError>,
+) -> Result<(), DrillError> {
     let bad = |what: &'static str| DrillError::BadChildArg { what };
     let family = args
         .first()
@@ -473,7 +460,7 @@ pub fn child_main(args: &[String]) -> Result<(), DrillError> {
         .ok_or_else(|| bad("seed"))?;
     let script = drill_script(script_len, lines, seed);
     let config = AnubisConfig::small_test();
-    let backend = FileBackend::open(&image)?;
+    let backend = open(&image, &config)?;
     match family {
         DrillFamily::BonsaiAgitPlus => {
             let (ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &config, backend);
@@ -501,9 +488,9 @@ pub struct PointOutcome {
     /// Whether the single durable-but-unlogged in-flight write was
     /// observed (kill landed between barrier and ack append).
     pub inflight_observed: bool,
-    /// The supervised outcome at the first lane count, rendered.
+    /// The supervised outcome, rendered.
     pub outcome: String,
-    /// The (lane-invariant) post-recovery device fingerprint.
+    /// The post-recovery device fingerprint.
     pub fingerprint: u64,
 }
 
@@ -511,11 +498,10 @@ pub struct PointOutcome {
 fn verify_reopened<C: Supervised>(
     mut ctrl: C,
     hint: Option<RecoveryError>,
-    lanes: usize,
     expected: &BTreeMap<u64, (u64, Block)>,
     inflight: Option<(u64, u64)>,
 ) -> Result<(u64, String, bool), DrillError> {
-    let sup = recover_reopened(&mut ctrl, hint.as_ref(), lanes)?;
+    let sup = recover_reopened(&mut ctrl, hint.as_ref())?;
     let fingerprint = device_fingerprint(&ctrl);
     let mut inflight_observed = false;
     for (&addr, &(op_index, want)) in expected {
@@ -533,36 +519,9 @@ fn verify_reopened<C: Supervised>(
                 continue;
             }
         }
-        return Err(DrillError::AckedWriteLost {
-            addr,
-            op_index,
-            lanes,
-        });
+        return Err(DrillError::AckedWriteLost { addr, op_index });
     }
     Ok((fingerprint, sup.outcome.to_string(), inflight_observed))
-}
-
-/// Runs recovery + verification over a copy of the image for one family
-/// at one lane count.
-fn verify_image(
-    family: DrillFamily,
-    image: &Path,
-    lanes: usize,
-    expected: &BTreeMap<u64, (u64, Block)>,
-    inflight: Option<(u64, u64)>,
-) -> Result<(u64, String, bool), DrillError> {
-    let config = AnubisConfig::small_test();
-    let backend = FileBackend::open(image)?;
-    match family {
-        DrillFamily::BonsaiAgitPlus => {
-            let (ctrl, hint) = BonsaiController::reopen(BonsaiScheme::AgitPlus, &config, backend);
-            verify_reopened(ctrl, hint, lanes, expected, inflight)
-        }
-        DrillFamily::SgxAsit => {
-            let (ctrl, hint) = SgxController::reopen(SgxScheme::Asit, &config, backend);
-            verify_reopened(ctrl, hint, lanes, expected, inflight)
-        }
-    }
 }
 
 /// The last acknowledged `(op index, payload)` per address.
@@ -592,65 +551,67 @@ pub fn ack_expectations(
     (expected, inflight)
 }
 
-/// Verifies every configured lane count over copies of a dead image and
-/// demands fingerprint agreement. Shared by the process drill and the
-/// in-process restart tests.
+/// Recovers a copy of a dead image and verifies every acknowledged
+/// write, leaving the dead image itself untouched for post-mortem.
+/// Returns the post-recovery device fingerprint, the rendered outcome,
+/// and whether the in-flight write surfaced. Shared by the process drill
+/// and the in-process restart tests.
 ///
 /// # Errors
 ///
-/// Any verification failure ([`DrillError::AckedWriteLost`],
-/// [`DrillError::FingerprintMismatch`], recovery or read errors).
+/// Any verification failure ([`DrillError::AckedWriteLost`], recovery or
+/// read errors).
 pub fn verify_dead_image(
     family: DrillFamily,
     image: &Path,
-    lanes: &[usize],
     acked: &[(u64, u64)],
     script: &[ScriptOp],
 ) -> Result<(u64, String, bool), DrillError> {
     let (expected, inflight) = ack_expectations(acked, script);
-    let mut reference: Option<(u64, String, bool)> = None;
-    for &l in lanes {
-        let copy = image.with_extension(format!("lane{l}.wal"));
-        fs::copy(image, &copy).map_err(io_ctx("copy image to", &copy))?;
-        let result = verify_image(family, &copy, l, &expected, inflight);
-        let _ = fs::remove_file(&copy);
-        let (fp, outcome, observed) = result?;
-        match reference {
-            None => reference = Some((fp, outcome, observed)),
-            Some((want, _, _)) if fp != want => {
-                return Err(DrillError::FingerprintMismatch {
-                    got: fp,
-                    want,
-                    lanes: l,
-                });
-            }
-            Some(r) => reference = Some(r),
-        }
-    }
-    Ok(reference.unwrap_or((0, String::from("no lanes configured"), false)))
+    let copy = image.with_extension("verify.wal");
+    fs::copy(image, &copy).map_err(io_ctx("copy image to", &copy))?;
+    let config = AnubisConfig::small_test();
+    let result =
+        FileBackend::open(&copy)
+            .map_err(DrillError::from)
+            .and_then(|backend| match family {
+                DrillFamily::BonsaiAgitPlus => {
+                    let (ctrl, hint) =
+                        BonsaiController::reopen(BonsaiScheme::AgitPlus, &config, backend);
+                    verify_reopened(ctrl, hint, &expected, inflight)
+                }
+                DrillFamily::SgxAsit => {
+                    let (ctrl, hint) = SgxController::reopen(SgxScheme::Asit, &config, backend);
+                    verify_reopened(ctrl, hint, &expected, inflight)
+                }
+            });
+    let _ = fs::remove_file(&copy);
+    result
 }
 
-/// Runs one kill point: spawn the child over a fresh image, SIGKILL it
-/// once `kill_after_acks` acknowledgements are durable, then verify the
-/// dead image at every configured lane count.
+/// Spawns the child over a fresh image in `dir` and SIGKILLs it once
+/// `kill_after_acks` acknowledgements are durable. Returns the image and
+/// ack-log paths and whether the child finished the whole script before
+/// the threshold (a clean exit). Shared with the adversary campaign.
 ///
-/// `exe` is the drill binary itself; the child is spawned as
+/// `exe` is the harness binary itself; the child is spawned as
 /// `exe --child <family> <image> <ack> <script_len> <lines> <seed>`.
 ///
 /// # Errors
 ///
-/// Any [`DrillError`]; every contract violation is typed, never a panic.
-pub fn run_point(
+/// [`DrillError::Child`] when the child fails before the kill,
+/// [`DrillError::Hung`] on timeout, [`DrillError::Io`] for harness I/O.
+pub(crate) fn run_killed_child(
     exe: &Path,
     family: DrillFamily,
     spec: &DrillSpec,
     dir: &Path,
     kill_after_acks: u64,
-) -> Result<PointOutcome, DrillError> {
+) -> Result<(PathBuf, PathBuf, bool), DrillError> {
     fs::create_dir_all(dir).map_err(io_ctx("create scratch dir", dir))?;
     let image = dir.join("image.wal");
     let ack = dir.join("acks.bin");
-    for stale in [&image, &ack] {
+    for stale in [&image, &ack, &anchor_path_for(&image)] {
         let _ = fs::remove_file(stale);
     }
     let mut child = Command::new(exe)
@@ -668,7 +629,6 @@ pub fn run_point(
 
     let started = Instant::now();
     let threshold = kill_after_acks.saturating_mul(ACK_RECORD_BYTES as u64);
-    let mut completed = false;
     loop {
         if let Some(status) = child.try_wait().map_err(io_ctx("poll child", exe))? {
             if !status.success() {
@@ -676,14 +636,13 @@ pub fn run_point(
                     code: status.code(),
                 });
             }
-            completed = true;
-            break;
+            return Ok((image, ack, true));
         }
         let acked_bytes = fs::metadata(&ack).map(|m| m.len()).unwrap_or(0);
         if acked_bytes >= threshold {
             child.kill().map_err(io_ctx("kill child", exe))?;
             child.wait().map_err(io_ctx("wait for child", exe))?;
-            break;
+            return Ok((image, ack, false));
         }
         if started.elapsed() > CHILD_TIMEOUT {
             child.kill().map_err(io_ctx("kill child", exe))?;
@@ -692,11 +651,26 @@ pub fn run_point(
         }
         std::thread::sleep(Duration::from_micros(200));
     }
+}
 
+/// Runs one kill point: kill the child (see [`run_killed_child`]), then
+/// recover and verify the dead image.
+///
+/// # Errors
+///
+/// Any [`DrillError`]; every contract violation is typed, never a panic.
+pub fn run_point(
+    exe: &Path,
+    family: DrillFamily,
+    spec: &DrillSpec,
+    dir: &Path,
+    kill_after_acks: u64,
+) -> Result<PointOutcome, DrillError> {
+    let (image, ack, completed) = run_killed_child(exe, family, spec, dir, kill_after_acks)?;
     let acked = read_ack_log(&ack).map_err(io_ctx("read ack log", &ack))?;
     let script = drill_script(spec.script_len, spec.lines, spec.seed);
     let (fingerprint, outcome, inflight_observed) =
-        verify_dead_image(family, &image, &spec.lanes, &acked, &script)?;
+        verify_dead_image(family, &image, &acked, &script)?;
     let verified_addrs = acked
         .iter()
         .map(|&(_, a)| a)
@@ -722,7 +696,7 @@ pub struct FamilyReport {
     /// Points where the child outran the kill threshold and exited
     /// cleanly (the restart then exercised a quiescent image).
     pub completed_runs: u64,
-    /// Total acknowledged writes verified across all points and lanes.
+    /// Total acknowledged writes verified across all points.
     pub acked_total: u64,
     /// Points where the durable-but-unlogged in-flight write surfaced.
     pub inflight_observed: u64,
@@ -739,7 +713,7 @@ pub struct FamilyReport {
 /// # Errors
 ///
 /// Stops at the first [`DrillError`]; a completed campaign means zero
-/// acknowledged-write loss at every point and lane count.
+/// acknowledged-write loss at every point.
 pub fn run_campaign(
     exe: &Path,
     family: DrillFamily,

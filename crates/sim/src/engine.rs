@@ -2,8 +2,9 @@
 
 use crate::timing::{Channel, ChannelStats, TimingModel};
 use anubis::telemetry::{percentile_of_sorted, Snapshot, Telemetry};
-use anubis::{parallel, CostAccum, DataAddr, MemError, MemoryController, LINES_PER_COUNTER_BLOCK};
+use anubis::{CostAccum, DataAddr, MemError, MemoryController, LINES_PER_COUNTER_BLOCK};
 use anubis_workloads::{MemOp, OpKind, Trace};
+use std::ops::Range;
 
 /// Telemetry histogram fed one observation per trace op: the op's
 /// end-to-end critical-path latency in nanoseconds.
@@ -309,7 +310,7 @@ pub fn shard_of(block_index: u64, shards: usize) -> usize {
 /// Replays `trace` in sharded mode: the address space is split across
 /// `shards` independent controllers (one memory channel each, see
 /// [`shard_of`]), and the shards replay concurrently across `lanes`
-/// scoped threads ([`anubis::parallel`]).
+/// scoped threads.
 ///
 /// Each shard sees its sub-trace in original program order, so per-shard
 /// results are deterministic; the merge runs in shard order over integer
@@ -373,27 +374,26 @@ where
         scheme: &'static str,
         latencies: Vec<u64>,
     }
-    let outcomes: Vec<Result<ShardOutcome, MemError>> =
-        parallel::map_range(lanes, shards as u64, |shard| {
-            let mut controller = make_controller(shard as usize);
-            let mut channel = Channel::new(model);
-            let mut latencies = Vec::with_capacity(sub_traces[shard as usize].len());
-            replay_ops(
-                &mut controller,
-                &sub_traces[shard as usize],
-                &mut channel,
-                &mut latencies,
-                telemetry,
-            )?;
-            controller.publish_telemetry();
-            channel.drain();
-            Ok(ShardOutcome {
-                stats: ChannelStats::of(&channel),
-                totals: *controller.total_cost(),
-                scheme: controller.scheme_name(),
-                latencies,
-            })
-        });
+    let outcomes: Vec<Result<ShardOutcome, MemError>> = map_range(lanes, shards as u64, |shard| {
+        let mut controller = make_controller(shard as usize);
+        let mut channel = Channel::new(model);
+        let mut latencies = Vec::with_capacity(sub_traces[shard as usize].len());
+        replay_ops(
+            &mut controller,
+            &sub_traces[shard as usize],
+            &mut channel,
+            &mut latencies,
+            telemetry,
+        )?;
+        controller.publish_telemetry();
+        channel.drain();
+        Ok(ShardOutcome {
+            stats: ChannelStats::of(&channel),
+            totals: *controller.total_cost(),
+            scheme: controller.scheme_name(),
+            latencies,
+        })
+    });
 
     let mut stats = ChannelStats::default();
     let mut totals = CostAccum::default();
@@ -432,6 +432,56 @@ where
         lanes,
         shard_ns,
         latencies,
+    })
+}
+
+/// Upper bound on replay lanes; only guards against pathological values.
+const MAX_LANES: usize = 64;
+
+/// Splits `0..n` into at most `lanes` contiguous chunks, earlier chunks
+/// taking the remainder. A pure function of `(n, lanes)`: the fixed
+/// shard→lane assignment that keeps sharded replay deterministic.
+fn shard_chunks(n: u64, lanes: usize) -> Vec<Range<u64>> {
+    let lanes = (lanes.max(1) as u64).min(n.max(1));
+    let base = n / lanes;
+    let extra = n % lanes;
+    let mut chunks = Vec::with_capacity(lanes as usize);
+    let mut start = 0;
+    for lane in 0..lanes {
+        let len = base + u64::from(lane < extra);
+        chunks.push(start..start + len);
+        start += len;
+    }
+    chunks
+}
+
+/// Applies `f` to every index in `0..n`, fanning chunks out across
+/// `lanes` scoped threads, and returns the results in index order. With
+/// `lanes <= 1` (or fewer than two items) it runs inline.
+///
+/// # Panics
+///
+/// Propagates a panic from `f`.
+fn map_range<R, F>(lanes: usize, n: u64, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(u64) -> R + Sync,
+{
+    let lanes = lanes.clamp(1, MAX_LANES);
+    if lanes == 1 || n < 2 {
+        return (0..n).map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = shard_chunks(n, lanes)
+            .into_iter()
+            .map(|chunk| scope.spawn(move || chunk.map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out = Vec::with_capacity(n as usize);
+        for handle in handles {
+            out.extend(handle.join().expect("replay lane panicked"));
+        }
+        out
     })
 }
 
@@ -561,6 +611,27 @@ mod tests {
         assert_eq!(sharded.merged, serial);
         assert_eq!(sharded.shard_ns, vec![serial.total_ns]);
         assert_eq!(sharded.latencies, serial_lats);
+    }
+
+    #[test]
+    fn chunks_partition_the_range() {
+        for n in [0u64, 1, 2, 7, 64, 1000] {
+            for lanes in [1usize, 2, 3, 8, 64] {
+                let chunks = shard_chunks(n, lanes);
+                assert!(chunks.len() <= lanes.max(1));
+                let mut next = 0;
+                for c in &chunks {
+                    assert_eq!(c.start, next, "contiguous at n={n} lanes={lanes}");
+                    next = c.end;
+                }
+                assert_eq!(next, n, "covers the range at n={n} lanes={lanes}");
+            }
+        }
+        let sizes: Vec<u64> = shard_chunks(10, 4)
+            .iter()
+            .map(|c| c.end - c.start)
+            .collect();
+        assert_eq!(sizes, vec![3, 3, 2, 2]);
     }
 
     #[test]

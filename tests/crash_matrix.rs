@@ -252,11 +252,11 @@ fn stale_counter_beyond_stop_loss_errs_without_panic() {
 }
 
 #[test]
-fn shadow_capacity_exceeded_is_lane_invariant() {
+fn shadow_capacity_exceeded_is_typed() {
     // A verified Shadow Table tracking more same-set nodes than the
     // metadata cache's associativity can hold must fail ASIT recovery
-    // with `ShadowCapacityExceeded` — and the same offending address —
-    // at 1, 2, and 8 recovery lanes.
+    // with `ShadowCapacityExceeded`, naming the first entry (in address
+    // order) that no longer fits.
     use anubis::{RecoveryError, StEntry};
     use anubis_itree::NodeId;
 
@@ -273,25 +273,16 @@ fn shadow_capacity_exceeded_is_lane_invariant() {
         c.domain_mut().device_mut().poke(slot, entry.to_block());
     }
     c.debug_refresh_shadow_root_from_nvm();
+    let last = c
+        .layout()
+        .node_addr(NodeId::new(0, (conflicting - 1) * sets));
 
-    let mut failing = Vec::new();
-    for lanes in [1usize, 2, 8] {
-        let mut run = c.clone();
-        run.crash();
-        match run.recover_with_lanes(lanes) {
-            Err(RecoveryError::ShadowCapacityExceeded { addr }) => failing.push(addr),
-            Err(e) => panic!("lanes {lanes}: expected ShadowCapacityExceeded, got {e}"),
-            Ok(_) => panic!("lanes {lanes}: over-capacity shadow table must not recover"),
-        }
+    c.crash();
+    match c.recover() {
+        Err(RecoveryError::ShadowCapacityExceeded { addr }) => assert_eq!(addr, last),
+        Err(e) => panic!("expected ShadowCapacityExceeded, got {e}"),
+        Ok(_) => panic!("over-capacity shadow table must not recover"),
     }
-    assert_eq!(
-        failing[0], failing[1],
-        "lanes 1 vs 2 disagree on the address"
-    );
-    assert_eq!(
-        failing[0], failing[2],
-        "lanes 1 vs 8 disagree on the address"
-    );
 }
 
 #[test]

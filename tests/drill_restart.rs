@@ -12,9 +12,8 @@
 //!
 //! Also covered here: the write-cut (dying platform) primitive must
 //! suppress file-backend flushes so an unacknowledged tail never leaks
-//! into the image; post-recovery snapshots must be bit-identical across
-//! recovery lane counts and across a snapshot→restore→snapshot round
-//! trip; and a corrupted persisted quarantine table must surface as a
+//! into the image; a post-recovery snapshot must survive a
+//! snapshot→restore→snapshot round trip bit-identically; and a corrupted persisted quarantine table must surface as a
 //! typed [`RecoveryError::CorruptImage`] hint that enters the supervisor
 //! ladder at rung 3 via [`Supervisor::repair_then_recover`].
 
@@ -94,8 +93,7 @@ fn serve_with_copies<C: Supervised>(
 }
 
 /// The in-process restart drill: every image copy must recover in a
-/// fresh controller at 1/2/8 lanes with identical fingerprints and no
-/// acknowledged write lost.
+/// fresh controller with no acknowledged write lost.
 fn in_process_drill(family: DrillFamily) {
     let dir = scratch(family.name());
     let image = dir.join("image.wal");
@@ -114,7 +112,7 @@ fn in_process_drill(family: DrillFamily) {
     };
     assert!(acked.len() > 200, "script should ack >200 writes");
     for (copy, n) in &copies {
-        verify_dead_image(family, copy, &[1, 2, 8], &acked[..*n], &script)
+        verify_dead_image(family, copy, &acked[..*n], &script)
             .unwrap_or_else(|e| panic!("{} image at {n} acks: {e}", family.name()));
     }
     let _ = fs::remove_dir_all(&dir);
@@ -200,24 +198,17 @@ fn write_cut_mid_recovery_suppresses_file_backend_flushes() {
         );
     }
     // The restarted machine reopens the half-recovered image and must
-    // still serve every write acknowledged before the first crash, at
-    // every lane count, with identical fingerprints.
-    verify_dead_image(
-        DrillFamily::BonsaiAgitPlus,
-        &image,
-        &[1, 2, 8],
-        &acked,
-        &script,
-    )
-    .unwrap_or_else(|e| panic!("restart after mid-recovery cut: {e}"));
+    // still serve every write acknowledged before the first crash.
+    verify_dead_image(DrillFamily::BonsaiAgitPlus, &image, &acked, &script)
+        .unwrap_or_else(|e| panic!("restart after mid-recovery cut: {e}"));
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Snapshot→restore→snapshot must be bit-identical, and the
-/// post-recovery snapshot itself must not depend on the lane count.
+/// Snapshot→restore→snapshot of a recovered device must be
+/// bit-identical.
 fn snapshot_roundtrip<C, F>(make: F, name: &str)
 where
-    C: Supervised + Clone,
+    C: Supervised,
     F: Fn() -> C,
 {
     let script = drill_script(300, 200, 0x5EED);
@@ -236,37 +227,22 @@ where
     base.persist_quarantine();
     base.crash();
 
-    let mut reference: Option<Vec<u8>> = None;
-    for lanes in [1usize, 2, 8] {
-        let mut c = base.clone();
-        Supervisor::new()
-            .with_lanes(lanes)
-            .recover(&mut c)
-            .unwrap_or_else(|e| panic!("{name}: recovery at {lanes} lanes failed: {e}"));
-        let b1 = c.domain_mut().snapshot().to_bytes();
-        let snap = Snapshot::from_bytes(&b1).expect("parse own snapshot");
-        let mut fresh = make();
-        fresh
-            .domain_mut()
-            .apply_snapshot(&snap)
-            .expect("apply snapshot to fresh domain");
-        let b2 = fresh.domain_mut().snapshot().to_bytes();
-        assert_eq!(
-            b1, b2,
-            "{name}: snapshot→restore→snapshot diverged at {lanes} lanes"
-        );
-        match &reference {
-            None => reference = Some(b1),
-            Some(r) => assert_eq!(
-                r, &b1,
-                "{name}: post-recovery snapshot differs between lane counts"
-            ),
-        }
-    }
+    Supervisor::new()
+        .recover(&mut base)
+        .unwrap_or_else(|e| panic!("{name}: recovery failed: {e}"));
+    let b1 = base.domain_mut().snapshot().to_bytes();
+    let snap = Snapshot::from_bytes(&b1).expect("parse own snapshot");
+    let mut fresh = make();
+    fresh
+        .domain_mut()
+        .apply_snapshot(&snap)
+        .expect("apply snapshot to fresh domain");
+    let b2 = fresh.domain_mut().snapshot().to_bytes();
+    assert_eq!(b1, b2, "{name}: snapshot→restore→snapshot diverged");
 }
 
 #[test]
-fn snapshot_roundtrip_is_lane_invariant_bonsai_agit_plus() {
+fn snapshot_roundtrip_after_recovery_bonsai_agit_plus() {
     snapshot_roundtrip(
         || BonsaiController::new(BonsaiScheme::AgitPlus, &config()),
         "agit-plus",
@@ -274,7 +250,7 @@ fn snapshot_roundtrip_is_lane_invariant_bonsai_agit_plus() {
 }
 
 #[test]
-fn snapshot_roundtrip_is_lane_invariant_sgx_asit() {
+fn snapshot_roundtrip_after_recovery_sgx_asit() {
     snapshot_roundtrip(|| SgxController::new(SgxScheme::Asit, &config()), "asit");
 }
 

@@ -166,7 +166,7 @@ fn cleanup(path: &Path) {
 
 /// Restart-time recovery the way the server's boot path runs it.
 fn supervise<C: Supervised>(c: &mut C, hint: Option<RecoveryError>) {
-    let sup = Supervisor::new().with_lanes(2).with_max_retries(1);
+    let sup = Supervisor::new().with_max_retries(1);
     let _ = match hint {
         Some(e) => sup.repair_then_recover(c, &e),
         None => sup.recover(c),
